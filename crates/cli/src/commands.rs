@@ -18,8 +18,8 @@ Schemas are GraphQL SDL by default; `--lang pgschema` (or a `.pgs` /
 
 USAGE:
     pgschema validate <schema> <graph.json> [--lang sdl|pgschema]
-                      [--engine naive|indexed|parallel|incremental] [--threads N]
-                      [--max-violations N] [--metrics] [--weak-only] [--json]
+                      [--engine naive|indexed|incremental] [--max-violations N]
+                      [--metrics] [--weak-only] [--json]
                       [--watch-delta delta.json]...
     pgschema translate <schema> [--lang sdl|pgschema] [--to sdl|pgschema]
                        [--name GraphTypeName] [--out FILE]
@@ -144,7 +144,7 @@ fn load_schema(path: &str) -> Result<PgSchema> {
 fn cmd_validate(rest: &[String]) -> Result<()> {
     let (pos, values, bools) = parse_flags(
         rest,
-        &["engine", "threads", "max-violations", "watch-delta", "lang"],
+        &["engine", "max-violations", "watch-delta", "lang"],
         &["weak-only", "json", "metrics"],
     )?;
     let [schema_path, graph_path] = pos.as_slice() else {
@@ -166,12 +166,6 @@ fn cmd_validate(rest: &[String]) -> Result<()> {
             "engine" => {
                 builder =
                     builder.engine(v.parse::<Engine>().map_err(|e| format!("--engine: {e}"))?);
-            }
-            "threads" => {
-                builder = builder.threads(
-                    v.parse()
-                        .map_err(|_| format!("--threads: not a number: {v}"))?,
-                );
             }
             "max-violations" => {
                 builder = builder.max_violations(
@@ -889,7 +883,7 @@ fn store_compact(dir: &std::path::Path) -> Result<()> {
 
 /// Replays the store exactly as server startup would (including
 /// truncating any torn tail), then validates every recovered session
-/// from scratch with all four engines and requires them to agree.
+/// from scratch with all three engines and requires them to agree.
 fn store_replay(dir: &std::path::Path) -> Result<()> {
     let (_store, recovered) = pg_store::Store::open(dir, pg_store::FsyncPolicy::Never)
         .map_err(|e| format!("cannot open {}: {e}", dir.display()))?;
@@ -922,12 +916,7 @@ fn store_replay(dir: &std::path::Path) -> Result<()> {
             .clone()
             .into_graph()
             .map_err(|e| format!("session {}: graph failed to materialize: {e}", s.id))?;
-        let engines = [
-            Engine::Naive,
-            Engine::Indexed,
-            Engine::Parallel,
-            Engine::Incremental,
-        ];
+        let engines = [Engine::Naive, Engine::Indexed, Engine::Incremental];
         let reports =
             engines.map(|e| validate(&graph, &schema, &ValidationOptions::with_engine(e)));
         let agree = reports

@@ -74,6 +74,23 @@ fn validate_engines_agree_via_flag() {
 }
 
 #[test]
+fn validate_rejects_the_removed_parallel_engine_and_threads_flag() {
+    let schema = write_tmp("sp.graphql", SCHEMA);
+    let graph = write_tmp("gp.json", GOOD_GRAPH);
+    let out = pgschema(&["validate", &schema, &graph, "--engine", "parallel"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown engine `parallel` (expected naive|indexed|incremental)"),
+        "{stderr}"
+    );
+    let out = pgschema(&["validate", &schema, &graph, "--threads", "4"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --threads"), "{stderr}");
+}
+
+#[test]
 fn validate_json_output() {
     let schema = write_tmp("sj.graphql", SCHEMA);
     let graph = write_tmp(

@@ -2,10 +2,13 @@
 //! markdown link in the tracked docs must point at a file that exists,
 //! and every `#fragment` must match a heading in the target file
 //! (GitHub's slug rules). Keeps docs/replication.md, docs/operations.md,
-//! README and DESIGN from rotting apart as they link to each other.
+//! README and DESIGN from rotting apart as they link to each other. The
+//! README's example `pgschema` command lines are checked against the
+//! flags each command accepts.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -163,6 +166,84 @@ fn every_relative_doc_link_resolves() {
     assert!(
         problems.is_empty(),
         "broken doc links:\n{}",
+        problems.join("\n")
+    );
+}
+
+/// The `pgschema <cmd> …` invocations in a markdown file's shell code
+/// fences (```` ```bash ````/```` ```sh ````), as argument lists after
+/// the binary name: `\` continuations are joined and `# comments`
+/// dropped. Lines that only mention the binary (`cargo run --bin
+/// pgschema -- …`, `pgload … ./pgschema`) are skipped.
+fn cli_invocations(text: &str) -> Vec<Vec<String>> {
+    let mut invocations = Vec::new();
+    let mut fence: Option<bool> = None; // Some(is_shell) inside a fence
+    let mut joined = String::new();
+    for line in text.lines() {
+        if let Some(info) = line.trim_start().strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(matches!(info.trim(), "bash" | "sh")),
+            };
+            joined.clear();
+            continue;
+        }
+        if fence != Some(true) {
+            continue;
+        }
+        let code = line.split(" #").next().unwrap_or("");
+        if code.trim_start().starts_with('#') {
+            continue;
+        }
+        if let Some(head) = code.trim_end().strip_suffix('\\') {
+            joined.push_str(head);
+            joined.push(' ');
+            continue;
+        }
+        joined.push_str(code);
+        let tokens: Vec<&str> = joined.split_whitespace().collect();
+        let binary = tokens
+            .iter()
+            .position(|t| *t == "pgschema" || t.ends_with("/pgschema"));
+        if let Some(ix) = binary {
+            let args = &tokens[ix + 1..];
+            if args.first().is_some_and(|cmd| !cmd.starts_with('-')) {
+                invocations.push(args.iter().map(|t| t.to_string()).collect());
+            }
+        }
+        joined.clear();
+    }
+    invocations
+}
+
+#[test]
+fn readme_cli_flags_are_accepted_by_their_commands() {
+    // Every command parses its flags before touching a file or a socket,
+    // and stops at the first unknown one. Appending a flag no command
+    // knows therefore makes each run fail fast; when the README's own
+    // flags are all accepted, the error names the appended probe.
+    const PROBE: &str = "--no-such-flag-probe";
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
+    let invocations = cli_invocations(&readme);
+    assert!(
+        invocations.len() >= 20,
+        "README command lines not found: {invocations:?}"
+    );
+    let mut problems = Vec::new();
+    for args in invocations {
+        let out = Command::new(env!("CARGO_BIN_EXE_pgschema"))
+            .args(&args)
+            .arg(PROBE)
+            .output()
+            .expect("pgschema runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if out.status.success() || !stderr.contains(&format!("unknown flag {PROBE}")) {
+            problems.push(format!("`pgschema {}`: {}", args.join(" "), stderr.trim()));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "README command lines the CLI rejects:\n{}",
         problems.join("\n")
     );
 }

@@ -1,7 +1,7 @@
 //! Snapshot format compatibility: a data directory written by the
 //! previous build (legacy `PGS1` snapshots, per-session binary graphs)
 //! must open cleanly on this build and validate identically — the
-//! canonical four-engine reports of the legacy decode path and the
+//! canonical engine reports of the legacy decode path and the
 //! current mmap (`PGS2`/`PGCS`) path are required to agree byte for
 //! byte. A snapshot from a *future* format must fail recovery with an
 //! explicit "unsupported snapshot version" error and leave the
@@ -96,13 +96,8 @@ fn legacy_snapshot_loads_and_agrees_with_mmap_path_byte_for_byte() {
     let mapped_graph = mapped.graph.clone().into_graph().unwrap();
     assert_eq!(legacy_graph, mapped_graph);
 
-    // The four-engine oracle agrees byte for byte across the two paths.
-    for engine in [
-        Engine::Naive,
-        Engine::Indexed,
-        Engine::Parallel,
-        Engine::Incremental,
-    ] {
+    // The engine oracle agrees byte for byte across the two paths.
+    for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
         let a = canonical_report(&legacy_graph, &schema, engine);
         let b = canonical_report(&mapped_graph, &schema, engine);
         assert_eq!(a, b, "engine {engine:?} reports diverge across paths");

@@ -1,7 +1,7 @@
 //! Crash-injection harness for the durable session store: a real
 //! `pgschema serve --data-dir` process is SIGKILLed mid-load at random
 //! points, relaunched on the same directory, and the recovered state is
-//! required to agree byte-for-byte with a from-scratch four-engine
+//! required to agree byte-for-byte with a from-scratch all-engine
 //! oracle validation — and to be exactly some acknowledged prefix of the
 //! delta stream. A second phase truncates and bit-flips WAL tails of
 //! copies of the crashed directory at random offsets and requires
@@ -121,17 +121,12 @@ fn report_essence(doc: &Json) -> (Json, Json) {
     )
 }
 
-/// The from-scratch oracle: all four engines over `graph` must agree
+/// The from-scratch oracle: every engine over `graph` must agree
 /// with each other and with the served report's essence.
-fn assert_four_engine_agreement(graph: &PropertyGraph, served_report: &Json, context: &str) {
+fn assert_engine_agreement(graph: &PropertyGraph, served_report: &Json, context: &str) {
     let schema = PgSchema::parse(SCHEMA_SDL).unwrap();
     let served = report_essence(served_report);
-    for engine in [
-        Engine::Naive,
-        Engine::Indexed,
-        Engine::Parallel,
-        Engine::Incremental,
-    ] {
+    for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
         let scratch = validate(graph, &schema, &ValidationOptions::with_engine(engine));
         let scratch_doc = Json::parse(&scratch.to_json()).unwrap();
         assert_eq!(
@@ -147,7 +142,7 @@ fn assert_four_engine_agreement(graph: &PropertyGraph, served_report: &Json, con
 /// durable session, relaunch on the same directory, and require the
 /// recovered graph to be exactly the acknowledged prefix of the delta
 /// stream (in-flight deltas may add at most one more) and the recovered
-/// report to pass the four-engine oracle.
+/// report to pass the engine oracle.
 #[test]
 fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
     let data_dir = test_dir("sigkill");
@@ -259,7 +254,7 @@ fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
                  (acked {acked}, sent {sent})"
             )
         });
-        assert_four_engine_agreement(&adopted, &served_report, &format!("round {round}"));
+        assert_engine_agreement(&adopted, &served_report, &format!("round {round}"));
 
         applied.extend(round_deltas[..k].iter().cloned());
         delta_counter += sent as u64;
@@ -277,7 +272,7 @@ fn sigkill_mid_load_recovers_an_acknowledged_prefix() {
 /// Phase two: truncate and bit-flip the WAL tail of *copies* of the
 /// crashed directory at random offsets; recovery must always produce a
 /// valid prefix of the delta history (possibly none at all), and that
-/// prefix must pass the four-engine oracle.
+/// prefix must pass the engine oracle.
 fn corrupt_tails_and_recover(data_dir: &Path, initial: &PropertyGraph, applied: &[GraphDelta]) {
     let mut rng = StdRng::seed_from_u64(0xDEAD_7A11);
     // All graphs the WAL could legally rewind to: the initial graph plus
@@ -341,15 +336,10 @@ fn corrupt_tails_and_recover(data_dir: &Path, initial: &PropertyGraph, applied: 
                     prefixes.contains(&got),
                     "trial {trial}: recovered graph is not a prefix of the history"
                 );
-                let reports: Vec<_> = [
-                    Engine::Naive,
-                    Engine::Indexed,
-                    Engine::Parallel,
-                    Engine::Incremental,
-                ]
-                .into_iter()
-                .map(|e| validate(&graph, &schema, &ValidationOptions::with_engine(e)))
-                .collect();
+                let reports: Vec<_> = [Engine::Naive, Engine::Indexed, Engine::Incremental]
+                    .into_iter()
+                    .map(|e| validate(&graph, &schema, &ValidationOptions::with_engine(e)))
+                    .collect();
                 for r in &reports {
                     assert_eq!(
                         r.violations(),

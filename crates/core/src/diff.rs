@@ -17,6 +17,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use gql_schema::TypeId;
+use pgraph::json::push_json_string;
 
 use crate::pgschema::{PgSchema, RelationshipDef};
 
@@ -251,10 +252,9 @@ impl SchemaDiff {
                 Compat::Compatible => "compatible",
                 Compat::Breaking => "breaking",
             };
-            out.push_str(&format!(
-                "{{\"change\": \"{}\", \"compat\": \"{compat}\"}}",
-                crate::report::esc(&c.describe())
-            ));
+            out.push_str("{\"change\": ");
+            push_json_string(&mut out, &c.describe());
+            out.push_str(&format!(", \"compat\": \"{compat}\"}}"));
         }
         out.push_str("]}");
         out

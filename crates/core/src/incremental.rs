@@ -30,13 +30,12 @@
 //! re-run over a dirty `Scope`: element scans walk `D` and `L`,
 //! group-keyed kernels run over an interned
 //! [`PartialCols`](crate::rules::partial::PartialCols) view of the
-//! region whose scope owns exactly the nodes of `D` — the same
-//! ownership-predicate mechanism the sharded `parallel` engine uses,
-//! with "shard" = the dirty set (groups keyed by a node of `D` are
-//! complete in the partial view, because *all* of that node's incident
-//! edges are in `L`). DS7 is maintained as a persistent tuple table per
-//! key (`Ds7Plan::Recheck` — the durable form of the parallel engine's
-//! map side), so only affected key groups are re-emitted.
+//! region whose scope owns exactly the nodes of `D` (groups keyed by a
+//! node of `D` are complete in the partial view, because *all* of that
+//! node's incident edges are in `L`). DS7 is maintained as a persistent
+//! tuple table per key (`Ds7Plan::Recheck` — the durable form of the
+//! inline plan's collect phase), so only affected key groups are
+//! re-emitted.
 //!
 //! Soundness rests on a symmetry invariant: *everything dropped is
 //! re-derivable, and everything re-derived was dropped* — node-anchored
@@ -44,7 +43,7 @@
 //! re-check, edge-anchored ones at exactly the edges they re-scan, DS7
 //! pairs at exactly the dirty participants. The merged report therefore
 //! equals a from-scratch run, an equality enforced per-mutation by the
-//! four-way engine-agreement proptest in `tests/engine_agreement.rs`.
+//! engine-agreement proptest in `tests/engine_agreement.rs`.
 //!
 //! Costs: a delta touching `k` elements of maximum degree `d` re-checks
 //! `O(k·d)` elements plus one pass over the stored violations —
@@ -390,7 +389,6 @@ impl<S: Borrow<PgSchema>> IncrementalEngine<S> {
         if self.options.collect_metrics {
             let mut m = ValidationMetrics {
                 engine: "incremental",
-                threads: 1,
                 elements_rechecked: rechecked,
                 elements_total: total,
                 ..ValidationMetrics::default()

@@ -51,7 +51,7 @@ pub(crate) fn run_named(
     engine_name: &'static str,
 ) -> ValidationReport {
     let mut r = ValidationReport::with_limit(options.max_violations);
-    let mut rec = MetricsRecorder::new(options.collect_metrics, engine_name, 1);
+    let mut rec = MetricsRecorder::new(options.collect_metrics, engine_name);
 
     // Freeze first, compile second: the symbol table must hold every
     // graph-side string before the SymSchema sizes its per-symbol rows.

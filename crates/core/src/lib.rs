@@ -16,24 +16,21 @@
 //! * **strong satisfaction** — rules [`Rule::SS1`]–[`Rule::SS4`]: every
 //!   node, property and edge must be *justified* by a schema element.
 //!
-//! Four interchangeable engines decide the same relation:
+//! Three interchangeable engines decide the same relation:
 //!
 //! * [`Engine::Naive`] transcribes the paper's first-order formulas
 //!   directly (nested loops; the `O(n²)`–`O(n³)` algorithm discussed after
 //!   Theorem 1),
 //! * [`Engine::Indexed`] is the serial production engine: one
 //!   `O(|V| + |E|)` indexing pass plus hash-group checks, near-linear in
-//!   practice,
-//! * [`Engine::Parallel`] shards the node/edge id spaces over worker
-//!   threads running the indexed engine's rule checks, merging shard
-//!   reports deterministically, and
+//!   practice, and
 //! * [`Engine::Incremental`] is the stateless face of the
 //!   [`IncrementalEngine`], which keeps a report up to date across
 //!   [`pgraph::GraphDelta`] mutations by re-checking only the dirty
 //!   region (see the [`incremental`] module for the rule dependency
 //!   analysis).
 //!
-//! Four-way engine agreement is property-tested — including agreement of
+//! Three-way engine agreement is property-tested — including agreement of
 //! the incremental engine with full revalidation after arbitrary mutation
 //! sequences; benchmarks E2 and E2i in EXPERIMENTS.md measure the
 //! separations.
@@ -62,12 +59,11 @@
 //! use pg_schema::{Engine, ValidationOptions};
 //!
 //! let options = ValidationOptions::builder()
-//!     .engine(Engine::Parallel)
-//!     .threads(4)
+//!     .engine(Engine::Incremental)
 //!     .max_violations(100)
 //!     .collect_metrics(true)
 //!     .build();
-//! assert_eq!(options.engine, Engine::Parallel);
+//! assert_eq!(options.engine, Engine::Incremental);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,7 +76,6 @@ mod indexed;
 mod metrics;
 pub mod migrate;
 mod naive;
-mod parallel;
 mod pgschema;
 pub mod report;
 mod rules;
@@ -105,11 +100,6 @@ pub enum Engine {
     /// Index-assisted serial engine (near-linear). Default.
     #[default]
     Indexed,
-    /// Sharded multi-threaded engine: the id space is partitioned into
-    /// per-worker slices running the indexed checks; cross-shard rules
-    /// (`@key`) aggregate shard-local tables in one merge pass. Worker
-    /// count comes from [`ValidationOptions::threads`].
-    Parallel,
     /// Delta-driven engine. A bare [`validate`] call has no prior report
     /// to patch, so this degenerates to one full indexed-library pass;
     /// the speedup comes from holding an [`IncrementalEngine`] session
@@ -124,14 +114,13 @@ impl Engine {
         match self {
             Engine::Naive => "naive",
             Engine::Indexed => "indexed",
-            Engine::Parallel => "parallel",
             Engine::Incremental => "incremental",
         }
     }
 
     /// The accepted spellings of [`FromStr`](std::str::FromStr), in
     /// declaration order.
-    pub const NAMES: &'static [&'static str] = &["naive", "indexed", "parallel", "incremental"];
+    pub const NAMES: &'static [&'static str] = &["naive", "indexed", "incremental"];
 }
 
 /// Parses a wire name back into an engine — the inverse of
@@ -145,7 +134,6 @@ impl std::str::FromStr for Engine {
         match name {
             "naive" => Ok(Engine::Naive),
             "indexed" => Ok(Engine::Indexed),
-            "parallel" => Ok(Engine::Parallel),
             "incremental" => Ok(Engine::Incremental),
             _ => Err(pgraph::ParseEnumError::new("engine", name, Engine::NAMES)),
         }
@@ -171,15 +159,12 @@ pub struct ValidationOptions {
     pub directives: bool,
     /// Check strong satisfaction (SS1–SS4). Default true.
     pub strong: bool,
-    /// Worker threads for [`Engine::Parallel`]; `0` (default) means one
-    /// per available CPU. Serial engines ignore this.
-    pub threads: usize,
     /// Stop collecting after this many violations and mark the report
     /// [`truncated`](ValidationReport::truncated). `None` (default)
     /// reports everything.
     pub max_violations: Option<usize>,
-    /// Record [`ValidationMetrics`] (per-family wall time, scan counters,
-    /// shard sizes) on the report. Default false.
+    /// Record [`ValidationMetrics`] (per-rule and per-family wall time,
+    /// scan counters) on the report. Default false.
     pub collect_metrics: bool,
 }
 
@@ -190,7 +175,6 @@ impl Default for ValidationOptions {
             weak: true,
             directives: true,
             strong: true,
-            threads: 0,
             max_violations: None,
             collect_metrics: false,
         }
@@ -259,12 +243,6 @@ impl ValidationOptionsBuilder {
         self
     }
 
-    /// Worker threads for [`Engine::Parallel`] (`0` = one per CPU).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
-        self
-    }
-
     /// Stops collecting after `max` violations; the report is then marked
     /// [`truncated`](ValidationReport::truncated).
     pub fn max_violations(mut self, max: usize) -> Self {
@@ -294,7 +272,6 @@ pub fn validate(
     let mut report = match options.engine {
         Engine::Naive => naive::run(graph, schema, options),
         Engine::Indexed => indexed::run(graph, schema, options),
-        Engine::Parallel => parallel::run(graph, schema, options),
         Engine::Incremental => incremental::run(graph, schema, options),
     };
     report.set_engine(options.engine.name());

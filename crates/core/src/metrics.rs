@@ -36,11 +36,10 @@ pub(crate) struct MetricsRecorder {
 }
 
 impl MetricsRecorder {
-    pub(crate) fn new(enabled: bool, engine: &'static str, threads: usize) -> Self {
+    pub(crate) fn new(enabled: bool, engine: &'static str) -> Self {
         MetricsRecorder {
             metrics: enabled.then(|| ValidationMetrics {
                 engine,
-                threads,
                 ..ValidationMetrics::default()
             }),
         }
@@ -94,20 +93,6 @@ impl MetricsRecorder {
         m.rules.extend(out.rules);
         m.nodes_scanned += out.nodes_scanned;
         m.edges_scanned += out.edges_scanned;
-    }
-
-    /// Records per-rule metrics reduced externally (the parallel engine
-    /// merges per-worker timings itself).
-    pub(crate) fn rules_record(&mut self, rules: Vec<RuleMetrics>) {
-        if let Some(m) = &mut self.metrics {
-            m.rules = rules;
-        }
-    }
-
-    pub(crate) fn shard_elements(&mut self, elements: Vec<u64>) {
-        if let Some(m) = &mut self.metrics {
-            m.shard_elements = elements;
-        }
     }
 
     /// Attaches the collected metrics (if any) to the report. Engines

@@ -41,6 +41,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
+use pgraph::json::push_json_string;
 use pgraph::{EdgeId, NodeId, PropertyGraph, SymbolTable};
 
 use crate::diff::{self, Compat, SchemaChange};
@@ -117,15 +118,16 @@ impl MigrationPlan {
                 Compat::Compatible => "compatible",
                 Compat::Breaking => "breaking",
             };
+            out.push_str("{\"change\": ");
+            push_json_string(&mut out, &c.change.describe());
             out.push_str(&format!(
-                "{{\"change\": \"{}\", \"compat\": \"{compat}\", \"affected_labels\": [",
-                report::esc(&c.change.describe())
+                ", \"compat\": \"{compat}\", \"affected_labels\": ["
             ));
             for (j, l) in c.affected_labels.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\"", report::esc(l)));
+                push_json_string(&mut out, l);
             }
             out.push_str("]}");
         }
@@ -134,14 +136,14 @@ impl MigrationPlan {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&report::violation_json(v));
+            report::push_violation_json(&mut out, v);
         }
         out.push_str("], \"violations_removed\": [");
         for (i, v) in self.removed.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&report::violation_json(v));
+            report::push_violation_json(&mut out, v);
         }
         out.push_str("]}");
         out

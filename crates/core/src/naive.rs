@@ -21,7 +21,7 @@ pub(crate) fn run(
     options: &ValidationOptions,
 ) -> ValidationReport {
     let mut r = ValidationReport::with_limit(options.max_violations);
-    let mut rec = MetricsRecorder::new(options.collect_metrics, "naive", 1);
+    let mut rec = MetricsRecorder::new(options.collect_metrics, "naive");
     let (nv, ne) = (g.node_count() as u64, g.edge_count() as u64);
     if options.weak {
         rec.family(RuleFamily::Weak, &mut r, |r| {

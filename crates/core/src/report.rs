@@ -1,8 +1,9 @@
 //! Validation reports: which rule failed, where, and why.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
+use pgraph::json::push_json_string;
 use pgraph::{EdgeId, NodeId};
 
 /// The fifteen rules of Definitions 5.1–5.3.
@@ -368,21 +369,18 @@ impl fmt::Display for Violation {
 /// Wall time, elements examined and violation count attributed to one
 /// rule kernel.
 ///
-/// Produced by the kernel engines (indexed, parallel, incremental),
+/// Produced by the kernel engines (indexed, incremental),
 /// which run each of the fifteen rules as a separate kernel; the naive
 /// oracle records only [`FamilyMetrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuleMetrics {
     /// The rule the kernel checked.
     pub rule: Rule,
-    /// Wall-clock nanoseconds spent in the kernel. For the parallel
-    /// engine this is the slowest shard's time (the critical path), not
-    /// the sum over workers; DS7 additionally includes the cross-shard
-    /// reduce.
+    /// Wall-clock nanoseconds spent in the kernel.
     pub nanos: u64,
     /// Elements the kernel examined: nodes or edges for the scan rules,
     /// index groups or per-site node-bucket entries for the group-keyed
-    /// rules. Summed over workers for the parallel engine.
+    /// rules.
     pub elements_scanned: u64,
     /// Violations the kernel produced (before cross-engine
     /// canonicalisation and dedup).
@@ -407,18 +405,17 @@ pub struct FamilyMetrics {
 /// set and surfaced through [`ValidationReport::metrics`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValidationMetrics {
-    /// Engine name: `"naive"`, `"indexed"`, `"parallel"` or
-    /// `"incremental"`.
+    /// Engine name: `"naive"`, `"indexed"` or `"incremental"`.
     pub engine: &'static str,
-    /// Worker threads used (1 for the serial engines).
-    pub threads: usize,
     /// Live nodes visited, summed over all rule blocks (a node scanned
     /// by two blocks counts twice).
     pub nodes_scanned: u64,
     /// Live edges visited, summed over all rule blocks.
     pub edges_scanned: u64,
-    /// Nanoseconds building the [`pgraph::index::GraphIndex`] (0 for the
-    /// naive engine, which runs index-free).
+    /// Nanoseconds spent in [`pgraph::ColumnarGraph::freeze`] plus the
+    /// `SymSchema` compile onto its symbol table (0 for the naive
+    /// engine, which runs index-free). The key keeps its historical
+    /// name.
     pub index_build_nanos: u64,
     /// Per-rule timing, element and violation counters, in the order
     /// the kernels ran. Empty for the naive engine, which runs the
@@ -428,9 +425,6 @@ pub struct ValidationMetrics {
     /// engines this is the per-family aggregation of
     /// [`rules`](Self::rules).
     pub families: Vec<FamilyMetrics>,
-    /// Live elements (`|V| + |E|`) per shard — empty for serial engines.
-    /// The spread between entries is the shard skew.
-    pub shard_elements: Vec<u64>,
     /// Elements actually re-checked by the run. Equals
     /// [`elements_total`](Self::elements_total) for the full engines; the
     /// incremental engine reports the dirty-region size here, so the
@@ -447,29 +441,11 @@ impl ValidationMetrics {
     pub fn total_nanos(&self) -> u64 {
         self.index_build_nanos + self.families.iter().map(|f| f.nanos).sum::<u64>()
     }
-
-    /// Shard skew: largest shard's element count divided by the mean
-    /// (1.0 = perfectly balanced). `None` for serial engines.
-    pub fn shard_skew(&self) -> Option<f64> {
-        let max = *self.shard_elements.iter().max()?;
-        let sum: u64 = self.shard_elements.iter().sum();
-        if sum == 0 {
-            return Some(1.0);
-        }
-        let mean = sum as f64 / self.shard_elements.len() as f64;
-        Some(max as f64 / mean)
-    }
 }
 
 impl fmt::Display for ValidationMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "engine: {} ({} thread{})",
-            self.engine,
-            self.threads,
-            if self.threads == 1 { "" } else { "s" }
-        )?;
+        writeln!(f, "engine: {}", self.engine)?;
         writeln!(
             f,
             "scanned: {} node visits, {} edge visits",
@@ -499,15 +475,6 @@ impl fmt::Display for ValidationMetrics {
                 format!("{:?}:", fam.family).to_lowercase(),
                 fam.nanos as f64 / 1e6,
                 fam.violations
-            )?;
-        }
-        if let Some(skew) = self.shard_skew() {
-            writeln!(
-                f,
-                "shards: {} ({} elements), skew {:.2}",
-                self.shard_elements.len(),
-                self.shard_elements.iter().sum::<u64>(),
-                skew
             )?;
         }
         if self.elements_total > 0 {
@@ -594,8 +561,8 @@ impl ValidationReport {
         self.truncated = truncated;
     }
 
-    /// The engine that produced the report (`"naive"`, `"indexed"`,
-    /// `"parallel"` or `"incremental"`), set by [`validate`](crate::validate)
+    /// The engine that produced the report (`"naive"`, `"indexed"` or
+    /// `"incremental"`), set by [`validate`](crate::validate)
     /// and by the incremental engine; `None` for hand-assembled reports.
     /// Ignored by equality, like [`metrics`](Self::metrics).
     pub fn engine(&self) -> Option<&'static str> {
@@ -617,8 +584,8 @@ impl ValidationReport {
         self.metrics = Some(metrics);
     }
 
-    /// Moves the accumulated violations out (the parallel engine merges
-    /// shard-local reports this way).
+    /// Moves the accumulated violations out (the incremental engine and
+    /// the migration planner merge reports this way).
     pub(crate) fn take_violations(&mut self) -> Vec<Violation> {
         std::mem::take(&mut self.violations)
     }
@@ -670,9 +637,9 @@ impl ValidationReport {
     /// (always, for reports coming out of [`validate`](crate::validate)).
     /// `"rule_counts"` maps each rule that fired to its violation count
     /// (an empty object for a conforming graph). When metrics were
-    /// collected a `"metrics"` object is appended with engine, threads,
-    /// scan counters, per-rule and per-family nanosecond timings,
-    /// per-shard element counts and the re-checked/total element counters.
+    /// collected a `"metrics"` object is appended with engine, scan
+    /// counters, per-rule and per-family nanosecond timings and the
+    /// re-checked/total element counters.
     /// The full schema of this document is specified in the repository
     /// README ("JSON report schema").
     pub fn to_json(&self) -> String {
@@ -688,7 +655,7 @@ impl ValidationReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&violation_json(v));
+            push_violation_json(&mut out, v);
         }
         out.push(']');
         out.push_str(", \"rule_counts\": {");
@@ -701,10 +668,10 @@ impl ValidationReport {
         out.push('}');
         if let Some(m) = &self.metrics {
             out.push_str(&format!(
-                ", \"metrics\": {{\"engine\": \"{}\", \"threads\": {}, \
+                ", \"metrics\": {{\"engine\": \"{}\", \
                  \"nodes_scanned\": {}, \"edges_scanned\": {}, \
                  \"index_build_nanos\": {}, \"rules\": [",
-                m.engine, m.threads, m.nodes_scanned, m.edges_scanned, m.index_build_nanos
+                m.engine, m.nodes_scanned, m.edges_scanned, m.index_build_nanos
             ));
             for (i, rm) in m.rules.iter().enumerate() {
                 if i > 0 {
@@ -728,13 +695,6 @@ impl ValidationReport {
                     fam.violations
                 ));
             }
-            out.push_str("], \"shard_elements\": [");
-            for (i, n) in m.shard_elements.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&n.to_string());
-            }
             out.push_str(&format!(
                 "], \"elements_rechecked\": {}, \"elements_total\": {}}}",
                 m.elements_rechecked, m.elements_total
@@ -755,24 +715,6 @@ impl ValidationReport {
     }
 }
 
-/// JSON string escaping shared by every hand-rolled renderer in the
-/// crate (report, migration plan, schema diff).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The wire name of a rule family.
 pub(crate) fn family_name(f: RuleFamily) -> &'static str {
     match f {
@@ -782,15 +724,17 @@ pub(crate) fn family_name(f: RuleFamily) -> &'static str {
     }
 }
 
-/// One violation as the `{"rule", "family", "message"}` JSON object used
-/// by every violation list the crate renders.
-pub(crate) fn violation_json(v: &Violation) -> String {
-    format!(
-        "{{\"rule\": \"{}\", \"family\": \"{}\", \"message\": \"{}\"}}",
+/// Appends one violation as the `{"rule", "family", "message"}` JSON
+/// object used by every violation list the crate renders.
+pub(crate) fn push_violation_json(out: &mut String, v: &Violation) {
+    let _ = write!(
+        out,
+        "{{\"rule\": \"{}\", \"family\": \"{}\", \"message\": ",
         v.rule(),
         family_name(v.rule().family()),
-        esc(&v.to_string())
-    )
+    );
+    push_json_string(out, &v.to_string());
+    out.push('}');
 }
 
 impl fmt::Display for ValidationReport {
@@ -897,7 +841,6 @@ mod tests {
         let mut b = ValidationReport::new(vec![v]);
         b.set_metrics(ValidationMetrics {
             engine: "indexed",
-            threads: 1,
             ..ValidationMetrics::default()
         });
         assert_eq!(a, b);
@@ -908,8 +851,7 @@ mod tests {
     fn metrics_render_in_json_and_text() {
         let mut r = ValidationReport::default();
         r.set_metrics(ValidationMetrics {
-            engine: "parallel",
-            threads: 4,
+            engine: "indexed",
             nodes_scanned: 100,
             edges_scanned: 50,
             index_build_nanos: 1_000,
@@ -924,13 +866,12 @@ mod tests {
                 nanos: 2_000,
                 violations: 3,
             }],
-            shard_elements: vec![40, 40, 40, 30],
             elements_rechecked: 150,
             elements_total: 150,
         });
         let json = r.to_json();
         assert!(json.contains("\"metrics\""), "{json}");
-        assert!(json.contains("\"engine\": \"parallel\""), "{json}");
+        assert!(json.contains("\"engine\": \"indexed\""), "{json}");
         assert!(
             json.contains(
                 "\"rules\": [{\"rule\": \"WS1\", \"nanos\": 2000, \
@@ -938,19 +879,13 @@ mod tests {
             ),
             "{json}"
         );
-        assert!(
-            json.contains("\"shard_elements\": [40, 40, 40, 30]"),
-            "{json}"
-        );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let m = r.metrics().unwrap();
         assert_eq!(m.total_nanos(), 3_000);
-        let skew = m.shard_skew().unwrap();
-        assert!((skew - 40.0 / 37.5).abs() < 1e-9);
         let text = m.to_string();
-        assert!(text.contains("engine: parallel (4 threads)"), "{text}");
+        assert!(text.starts_with("engine: indexed\n"), "{text}");
         assert!(text.contains("WS1:"), "{text}");
-        assert!(text.contains("skew"), "{text}");
+        assert!(text.contains("re-checked: 150 of 150 elements"), "{text}");
     }
 
     #[test]

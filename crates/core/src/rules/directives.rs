@@ -1,19 +1,17 @@
 //! Kernels for directive satisfaction — rules DS1–DS7 (Definition 5.2).
 //!
 //! DS7 (`@key`) is the one rule relating *pairs* of nodes, so its kernel
-//! is split into a tuple-collect and a pair-emit phase. The three
+//! is split into a tuple-collect and a pair-emit phase. The two
 //! [`Ds7Plan`](super::Ds7Plan)s compose them differently: [`ds7`] runs
-//! both inline, [`ds7_map`] collects shard-local tables for a later
-//! cross-shard [`ds7_emit`] reduce, and [`ds7_recheck`] maintains the
-//! persistent [`KeyTable`]s of an incremental session.
+//! both inline, and [`ds7_recheck`] maintains the persistent
+//! [`KeyTable`]s of an incremental session.
 //!
 //! Over a columnar scope the collect phase is allocation-free per node:
 //! a key tuple is the vector of `Option<u32>` *value-class ids* over the
 //! key's scalar fields ([`ValueTable::eq_rep`](pgraph::ValueTable)
 //! collapses ids to one representative per `Value`-equal class), so
 //! tuple equality coincides with the `Value`-tuple equality the paper's
-//! "agree" relation asks for — including across shards, because the ids
-//! are graph-global.
+//! "agree" relation asks for.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -257,12 +255,11 @@ pub(crate) fn ds7_scalar_fields<'s>(s: &'s PgSchema, key: &'s KeyConstraint) -> 
         .collect()
 }
 
-/// DS7 map phase over a columnar scope: groups the owned nodes below the
-/// key's site by their key tuple of value-class ids.
+/// DS7 collect phase over the full columnar scope: groups the nodes
+/// below the key's site by their key tuple of value-class ids.
 ///
 /// DS7's "agree" relation (both lack the property, or both have equal
-/// values) is exactly tuple equality, so tables from disjoint shards
-/// merge by appending the node lists.
+/// values) is exactly tuple equality.
 fn ds7_collect_vids(
     scope: &Scope<'_, '_>,
     sink: &mut Sink<'_>,
@@ -277,9 +274,6 @@ fn ds7_collect_vids(
             continue;
         }
         for n in scope.nodes_with_label(label) {
-            if !scope.owns(n) {
-                continue;
-            }
             sink.group_visited();
             let tuple: Vec<Option<u32>> = key
                 .scalar_syms
@@ -292,7 +286,7 @@ fn ds7_collect_vids(
     groups
 }
 
-/// DS7 map phase over the dirty scope: same grouping, with owned `Value`
+/// DS7 collect phase over the dirty scope: same grouping, with owned `Value`
 /// tuples read back from the graph (the dirty region is too small to
 /// justify a freeze).
 fn ds7_collect_values(
@@ -324,9 +318,8 @@ fn ds7_collect_values(
 
 /// DS7 reduce phase: emits one violation per unordered pair of nodes
 /// sharing a key tuple, in sorted node order. Generic over the tuple
-/// representation (value-class ids or `Value`s); used inline by [`ds7`]
-/// and by the parallel engine's cross-shard merge.
-pub(crate) fn ds7_emit<K: Hash + Eq>(
+/// representation (value-class ids or `Value`s).
+fn ds7_emit<K: Hash + Eq>(
     ty: &str,
     fields: &[String],
     groups: HashMap<K, Vec<NodeId>>,
@@ -368,22 +361,6 @@ pub(crate) fn ds7(scope: &Scope<'_, '_>, sink: &mut Sink<'_>) {
                 let groups = ds7_collect_values(scope, sink, key);
                 ds7_emit(&key.ty_name, &key.fields, groups, sink.report);
             }
-        }
-    });
-}
-
-/// DS7, map plan: collect one shard-local tuple table per key (in schema
-/// key order) for the caller's cross-shard reduce. Emits no violations
-/// itself; the recorded DS7 timing covers the map side only — the
-/// planner adds the reduce time after the join. Columnar scopes only.
-pub(crate) fn ds7_map(
-    scope: &Scope<'_, '_>,
-    sink: &mut Sink<'_>,
-    tables: &mut Vec<HashMap<Vec<Option<u32>>, Vec<NodeId>>>,
-) {
-    sink.rule(Rule::DS7, |sink| {
-        for key in &scope.ss.keys {
-            tables.push(ds7_collect_vids(scope, sink, key));
         }
     });
 }

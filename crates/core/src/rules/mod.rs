@@ -11,7 +11,7 @@
 //!   against an abstract evaluation [`Scope`] and a result [`Sink`]
 //!   (modules [`weak`], [`directives`], [`strong`], one per family);
 //! * an **engine** is a *planner*: it decides which kernels to run over
-//!   which scope and merges the results. `indexed.rs`, `parallel.rs` and
+//!   which scope and merges the results. `indexed.rs` and
 //!   `incremental.rs` contain only this planning/scoping logic;
 //!   `naive.rs` deliberately stays outside the layer as the independent
 //!   oracle the kernels are property-tested against
@@ -23,7 +23,7 @@
 //! A [`Scope`] pairs a symbol-keyed view of the *data* with a
 //! symbol-keyed compilation of the *schema*:
 //!
-//! * full and shard scopes scan a frozen
+//! * the full scope scans a frozen
 //!   [`ColumnarGraph`](pgraph::ColumnarGraph) — struct-of-arrays element
 //!   tables plus CSR adjacency, so an element scan is a walk over
 //!   contiguous `u32` columns and a "parallel edges of `v` under label
@@ -37,16 +37,11 @@
 //!   report strings (expected types, site names) behind precomputed
 //!   fields, so the hot loops never hash or compare strings.
 //!
-//! The three scope variants answer the same questions:
+//! The two scope variants answer the same questions:
 //!
-//! * **full** — the whole graph (the serial indexed engine, and the
-//!   seeding pass of an incremental session); benchmark E2 runs kernels
-//!   under this scope;
-//! * **shard** — one contiguous raw-index range of the columnar tables
-//!   (parallel engine, E2p); element scans walk the shard's own slots
-//!   and group-keyed kernels process exactly the groups whose key
-//!   element the shard owns, so every violation is derived by exactly
-//!   one worker;
+//! * **full** — the whole graph (the indexed engine, and the seeding
+//!   pass of an incremental session); benchmark E2 runs kernels under
+//!   this scope;
 //! * **dirty** — the dirty region computed from a
 //!   [`GraphDelta`](pgraph::GraphDelta) closure by the incremental
 //!   engine: a set of dirty nodes plus the live edges incident to them
@@ -56,8 +51,8 @@
 //! [`Scope::nodes`]/[`Scope::edges`], group-keyed kernels walk
 //! [`Scope::for_out_groups`]/[`Scope::for_parallel_runs`]/
 //! [`Scope::for_in_runs`] and filter through [`Scope::owns`]. That one
-//! predicate is what makes the same kernel body correct in all three
-//! plans.
+//! predicate is what makes the same kernel body correct in both
+//! scopes.
 //!
 //! # Sink
 //!
@@ -76,18 +71,16 @@
 //!   [`validate`](crate::validate) and
 //!   [`IncrementalEngine::report`](crate::IncrementalEngine::report)
 //!   both guarantee this canonical order, which is why reports from all
-//!   four engines compare byte-identically.
+//!   three engines compare byte-identically.
 //!
-//! # DS7 and the three plans
+//! # DS7 and the two plans
 //!
 //! `@key` (DS7) is the one rule whose violations pair *two* elements, so
 //! its kernel is split into a tuple-collect and a pair-emit phase
 //! (see [`directives`]). [`Ds7Plan`] selects how the planner composes
-//! them: inline (collect + emit in one go), map (collect only, as
-//! interned value-class tuples; the parallel engine reduces the
-//! shard-local tables after join), or recheck (the incremental engine's
-//! persistent [`KeyTable`]s are updated for the dirty nodes and only
-//! affected pairs re-emitted).
+//! them: inline (collect + emit in one go), or recheck (the incremental
+//! engine's persistent [`KeyTable`]s are updated for the dirty nodes and
+//! only affected pairs re-emitted).
 
 pub(crate) mod directives;
 pub(crate) mod partial;
@@ -95,7 +88,7 @@ pub(crate) mod strong;
 pub(crate) mod symschema;
 pub(crate) mod weak;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::slice;
 use std::time::Instant;
@@ -114,13 +107,6 @@ use symschema::SymSchema;
 enum View<'a, 'g> {
     /// Every slot of the frozen columnar tables.
     Full { cols: &'a ColumnarGraph },
-    /// One contiguous raw-index range of the columnar tables (parallel
-    /// engine).
-    Shard {
-        cols: &'a ColumnarGraph,
-        nodes: Range<usize>,
-        edges: Range<usize>,
-    },
     /// The interned dirty region of a delta (incremental engine):
     /// `nodes` is the dirty-node closure driving ownership.
     Dirty {
@@ -132,7 +118,7 @@ enum View<'a, 'g> {
 /// Everything a rule kernel reads: the graph (for the few cold lookups
 /// that still need it), the schema in both its string-keyed and
 /// symbol-compiled forms, the symbol table for rendering report strings,
-/// and the evaluation view. See the module docs for the three view
+/// and the evaluation view. See the module docs for the two view
 /// variants and how the planners instantiate them.
 pub(crate) struct Scope<'a, 'g> {
     /// The graph under validation (always the *whole* graph — views
@@ -374,24 +360,6 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         }
     }
 
-    /// One worker's contiguous slot ranges of the parallel engine.
-    pub(crate) fn shard(
-        g: &'g PropertyGraph,
-        s: &'a PgSchema,
-        ss: &'a SymSchema,
-        cols: &'a ColumnarGraph,
-        nodes: Range<usize>,
-        edges: Range<usize>,
-    ) -> Self {
-        Scope {
-            g,
-            s,
-            ss,
-            syms: cols.symbols(),
-            view: View::Shard { cols, nodes, edges },
-        }
-    }
-
     /// The dirty region of the incremental engine: `nodes` is the dirty
     /// node closure, `pc` the interned view of it and its incident live
     /// edges (sharing `syms` with `ss`).
@@ -414,12 +382,11 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
 
     /// Does this scope own the given node? Group-keyed kernels process
     /// exactly the groups whose key element is owned, which is what
-    /// makes shard/dirty evaluation partition-exact.
+    /// makes dirty-region evaluation exact.
     #[inline]
     pub(crate) fn owns(&self, n: NodeId) -> bool {
         match &self.view {
             View::Full { .. } => true,
-            View::Shard { nodes, .. } => nodes.contains(&n.index()),
             View::Dirty { nodes, .. } => nodes.contains(&n),
         }
     }
@@ -430,10 +397,6 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
             View::Full { cols } => NodeIter::Cols {
                 cols,
                 range: 0..cols.node_slots(),
-            },
-            View::Shard { cols, nodes, .. } => NodeIter::Cols {
-                cols,
-                range: nodes.clone(),
             },
             View::Dirty { pc, .. } => NodeIter::Partial(pc.nodes.iter()),
         }
@@ -446,21 +409,17 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
                 cols,
                 range: 0..cols.edge_slots(),
             },
-            View::Shard { cols, edges, .. } => EdgeIter::Cols {
-                cols,
-                range: edges.clone(),
-            },
             View::Dirty { pc, .. } => EdgeIter::Partial(pc.edges.iter()),
         }
     }
 
     /// The label symbol of a live node — any node of the graph for the
-    /// columnar views; dirty nodes and local-edge endpoints for the
+    /// columnar view; dirty nodes and local-edge endpoints for the
     /// dirty one (exactly the nodes its kernels classify).
     #[inline]
     pub(crate) fn label_sym(&self, n: NodeId) -> Option<Sym> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
+            View::Full { cols } => {
                 if cols.node_is_live(n.index()) {
                     Some(cols.node_label_sym(n))
                 } else {
@@ -475,18 +434,16 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// population, sorted by symbol.
     pub(crate) fn labels(&self) -> &'a [Sym] {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => cols.labels_present(),
+            View::Full { cols } => cols.labels_present(),
             View::Dirty { pc, .. } => pc.labels(),
         }
     }
 
-    /// Live nodes carrying `label` (the whole graph for columnar views,
+    /// Live nodes carrying `label` (the whole graph for the columnar view,
     /// the dirty set for the dirty one), ascending id order.
     pub(crate) fn nodes_with_label(&self, label: Sym) -> NodeIdIter<'a> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                NodeIdIter::Raw(cols.nodes_with_label(label).iter())
-            }
+            View::Full { cols } => NodeIdIter::Raw(cols.nodes_with_label(label).iter()),
             View::Dirty { pc, .. } => NodeIdIter::Ids(pc.nodes_with_label(label).iter()),
         }
     }
@@ -495,9 +452,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// dirty view), ascending id order.
     pub(crate) fn out_edges_labelled(&self, v: NodeId, label: Sym) -> EdgeRun<'a> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                EdgeRun::Raw(cols.out_edges_labelled(v, label))
-            }
+            View::Full { cols } => EdgeRun::Raw(cols.out_edges_labelled(v, label)),
             View::Dirty { pc, .. } => EdgeRun::Ids(pc.out_edges_labelled(v, label)),
         }
     }
@@ -505,9 +460,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// In-edges of `v` labelled `label`, ascending id order.
     pub(crate) fn in_edges_labelled(&self, v: NodeId, label: Sym) -> EdgeRun<'a> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
-                EdgeRun::Raw(cols.in_edges_labelled(v, label))
-            }
+            View::Full { cols } => EdgeRun::Raw(cols.in_edges_labelled(v, label)),
             View::Dirty { pc, .. } => EdgeRun::Ids(pc.in_edges_labelled(v, label)),
         }
     }
@@ -516,7 +469,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     #[inline]
     pub(crate) fn edge_source(&self, e: EdgeId) -> Option<NodeId> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => {
+            View::Full { cols } => {
                 if cols.edge_is_live(e.index()) {
                     Some(cols.edge_source(e))
                 } else {
@@ -532,7 +485,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     #[inline]
     pub(crate) fn node_prop(&self, n: NodeId, key: Sym) -> Option<&'a Value> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => cols.node_prop(n, key),
+            View::Full { cols } => cols.node_prop(n, key),
             View::Dirty { pc, .. } => pc.node_prop(n, key),
         }
     }
@@ -541,7 +494,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// interns against its value table).
     pub(crate) fn cols(&self) -> Option<&'a ColumnarGraph> {
         match &self.view {
-            View::Full { cols } | View::Shard { cols, .. } => Some(cols),
+            View::Full { cols } => Some(cols),
             View::Dirty { .. } => None,
         }
     }
@@ -560,8 +513,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// the scope owns (WS4's groups). `f` returns `false` to stop early.
     pub(crate) fn for_out_groups(&self, f: &mut dyn FnMut(NodeId, Sym, EdgeRun<'a>) -> bool) {
         match &self.view {
-            View::Full { cols } => out_groups_cols(cols, 0..cols.node_slots(), f),
-            View::Shard { cols, nodes, .. } => out_groups_cols(cols, nodes.clone(), f),
+            View::Full { cols } => out_groups_cols(cols, f),
             View::Dirty { pc, nodes } => {
                 for (src, label, run) in pc.out_groups() {
                     if !nodes.contains(&src) {
@@ -583,8 +535,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
         f: &mut dyn FnMut(NodeId, NodeId, EdgeRun<'a>) -> bool,
     ) {
         match &self.view {
-            View::Full { cols } => parallel_runs_cols(cols, 0..cols.node_slots(), label, f),
-            View::Shard { cols, nodes, .. } => parallel_runs_cols(cols, nodes.clone(), label, f),
+            View::Full { cols } => parallel_runs_cols(cols, label, f),
             View::Dirty { pc, nodes } => {
                 for (src, dst, run) in pc.parallel_runs(label) {
                     if !nodes.contains(&src) {
@@ -602,8 +553,7 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
     /// the scope owns (DS3's groups).
     pub(crate) fn for_in_runs(&self, label: Sym, f: &mut dyn FnMut(NodeId, EdgeRun<'a>) -> bool) {
         match &self.view {
-            View::Full { cols } => in_runs_cols(cols, 0..cols.node_slots(), label, f),
-            View::Shard { cols, nodes, .. } => in_runs_cols(cols, nodes.clone(), label, f),
+            View::Full { cols } => in_runs_cols(cols, label, f),
             View::Dirty { pc, nodes } => {
                 for (dst, run) in pc.in_runs(label) {
                     if !nodes.contains(&dst) {
@@ -622,10 +572,9 @@ impl<'a, 'g: 'a> Scope<'a, 'g> {
 /// row, split into label runs (the row is sorted by label first).
 fn out_groups_cols<'a>(
     cols: &'a ColumnarGraph,
-    range: Range<usize>,
     f: &mut dyn FnMut(NodeId, Sym, EdgeRun<'a>) -> bool,
 ) {
-    for ix in range {
+    for ix in 0..cols.node_slots() {
         if !cols.node_is_live(ix) {
             continue;
         }
@@ -653,11 +602,10 @@ fn out_groups_cols<'a>(
 /// within a label run).
 fn parallel_runs_cols<'a>(
     cols: &'a ColumnarGraph,
-    range: Range<usize>,
     label: Sym,
     f: &mut dyn FnMut(NodeId, NodeId, EdgeRun<'a>) -> bool,
 ) {
-    for ix in range {
+    for ix in 0..cols.node_slots() {
         if !cols.node_is_live(ix) {
             continue;
         }
@@ -684,11 +632,10 @@ fn parallel_runs_cols<'a>(
 /// edge does).
 fn in_runs_cols<'a>(
     cols: &'a ColumnarGraph,
-    range: Range<usize>,
     label: Sym,
     f: &mut dyn FnMut(NodeId, EdgeRun<'a>) -> bool,
 ) {
-    for ix in range {
+    for ix in 0..cols.node_slots() {
         if !cols.node_is_live(ix) {
             continue;
         }
@@ -828,13 +775,9 @@ impl<'r> Sink<'r> {
 /// How a planner executes DS7 (`@key`) — the one rule whose collect and
 /// emit phases engines compose differently. See module docs.
 pub(crate) enum Ds7Plan<'p> {
-    /// Collect and emit in one pass (serial full-graph engines).
+    /// Collect and emit in one pass (full-graph engines, migration
+    /// region revalidation).
     Inline,
-    /// Map phase only: one shard-local tuple table per key is pushed for
-    /// the caller's cross-shard reduce (parallel engine). Tuples are
-    /// graph-global value-class ids, so equal tuples collide across
-    /// shards exactly as their [`Value`] counterparts would.
-    Map(&'p mut Vec<HashMap<Vec<Option<u32>>, Vec<NodeId>>>),
     /// Move the scope's dirty nodes between the persistent per-key
     /// tables and re-emit exactly the pairs they participate in
     /// (incremental engine). Requires a dirty scope.
@@ -866,7 +809,6 @@ pub(crate) fn run(
         directives::ds6(scope, sink);
         match ds7 {
             Ds7Plan::Inline => directives::ds7(scope, sink),
-            Ds7Plan::Map(tables) => directives::ds7_map(scope, sink, tables),
             Ds7Plan::Recheck(tables) => directives::ds7_recheck(scope, sink, tables),
         }
     }

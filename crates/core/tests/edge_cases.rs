@@ -289,3 +289,29 @@ fn multiple_keys_are_all_enforced() {
     let report = both(&g, &s);
     assert_eq!(report.by_rule(Rule::DS7).count(), 1, "{report}");
 }
+
+#[test]
+fn report_json_escapes_backspace_and_form_feed_in_short_form() {
+    // An enum symbol is rendered verbatim into the WS1 message, so its
+    // control characters reach the JSON escaper unchanged.
+    let s = PgSchema::parse("enum Unit { METER } type M { unit: Unit! @required }").unwrap();
+    let g = GraphBuilder::new()
+        .node("m", "M")
+        .prop("m", "unit", Value::Enum("ME\u{8}TER\u{c}".into()))
+        .build()
+        .unwrap();
+    let json = both(&g, &s).to_json();
+    assert!(json.contains("ME\\bTER\\f"), "{json}");
+    assert!(
+        !json.contains("\\u0008") && !json.contains("\\u000c"),
+        "{json}"
+    );
+    let doc = pgraph::json::Json::parse(&json).unwrap();
+    let message = doc.get("violations").unwrap().as_array().unwrap()[0]
+        .get("message")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_owned();
+    assert!(message.contains("ME\u{8}TER\u{c}"), "{message:?}");
+}

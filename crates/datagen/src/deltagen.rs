@@ -4,7 +4,7 @@
 //! construction** against a given graph: every op references an element
 //! that is live at the point the op executes, so
 //! [`GraphDelta::apply_to`] never fails. This is what the incremental
-//! benchmark (E2i) and the four-way engine-agreement property test feed
+//! benchmark (E2i) and the engine-agreement property test feed
 //! to [`pg_schema::IncrementalEngine`].
 //!
 //! Conflict-freedom without cloning the graph relies on the dense

@@ -11,7 +11,7 @@
 //!   precisely that rule fires;
 //! * [`DeltaGen`] draws conflict-free random [`pgraph::GraphDelta`]s
 //!   against a live graph — the mutation workload behind the
-//!   incremental-revalidation benchmark (E2i) and the four-way
+//!   incremental-revalidation benchmark (E2i) and the
 //!   engine-agreement property test.
 
 #![forbid(unsafe_code)]

@@ -161,9 +161,9 @@ impl<'g> EdgeRef<'g> {
 /// The structure is a plain adjacency-free element store: edges know their
 /// endpoints, but no adjacency lists are maintained inline. Validation-grade
 /// adjacency and label indexes are built on demand by
-/// [`crate::index::GraphIndex`], which keeps the mutation path cheap and the
-/// read path explicit about what it costs — the naive validation engine of
-/// the paper deliberately runs *without* indexes.
+/// [`crate::ColumnarGraph::freeze`], which keeps the mutation path cheap
+/// and the read path explicit about what it costs — the naive validation
+/// engine of the paper deliberately runs *without* indexes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PropertyGraph {
     pub(crate) nodes: Vec<NodeData>,
@@ -201,8 +201,8 @@ impl PropertyGraph {
     /// Upper bound (exclusive) on raw node indexes: every live node id
     /// satisfies `id.index() < node_index_bound()`. Includes tombstones,
     /// so it can exceed [`node_count`](Self::node_count); use
-    /// [`node`](Self::node) to skip them. This is the basis for
-    /// partitioning the id space into [`shard`](crate::shard) ranges.
+    /// [`node`](Self::node) to skip them. The columnar form sizes its
+    /// node slot tables by it.
     pub fn node_index_bound(&self) -> usize {
         self.nodes.len()
     }
@@ -445,8 +445,8 @@ impl PropertyGraph {
             .map(|(ix, _)| EdgeId(ix as u32))
     }
 
-    /// Outgoing edges of `v` (linear scan; use [`crate::index::GraphIndex`]
-    /// for repeated queries).
+    /// Outgoing edges of `v` (linear scan; freeze a
+    /// [`crate::ColumnarGraph`] for repeated queries).
     pub fn out_edges(&self, v: NodeId) -> impl Iterator<Item = EdgeRef<'_>> {
         self.edges().filter(move |e| e.source() == v)
     }

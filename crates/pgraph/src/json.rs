@@ -411,7 +411,12 @@ impl<'a> Parser<'a> {
 // Printer
 // ---------------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes included. The
+/// one escaper every hand-built JSON writer in the workspace shares:
+/// `"` and `\` are backslash-escaped, the control characters with a
+/// short form use it (`\n`, `\r`, `\t`, `\b`, `\f`), the other C0
+/// controls become `\u00XX`, and everything else is copied verbatim.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -449,7 +454,7 @@ fn print_json(out: &mut String, v: &Json, indent: usize) {
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Json::Int(i) => out.push_str(&i.to_string()),
         Json::Float(f) => push_float(out, *f),
-        Json::Str(s) => escape_into(out, s),
+        Json::Str(s) => push_json_string(out, s),
         Json::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -480,7 +485,7 @@ fn print_json(out: &mut String, v: &Json, indent: usize) {
                 }
                 out.push('\n');
                 out.push_str(&" ".repeat(indent + STEP));
-                escape_into(out, k);
+                push_json_string(out, k);
                 out.push_str(": ");
                 print_json(out, val, indent + STEP);
             }

@@ -22,8 +22,9 @@
 //! * mutation logs ([`delta::GraphDelta`]) that capture an evolution step
 //!   as a value and report exactly what they touched — the substrate for
 //!   incremental revalidation,
-//! * secondary indexes (label index, out/in adjacency grouped by edge label)
-//!   via [`index::GraphIndex`],
+//! * a frozen columnar form ([`ColumnarGraph`]: interned symbols,
+//!   struct-of-arrays element tables and CSR adjacency grouped by edge
+//!   label) that the validation engines scan,
 //! * traversal helpers ([`traverse`]),
 //! * a stable JSON interchange format ([`json`]),
 //! * structural statistics ([`stats::GraphStats`]) used by the benchmark
@@ -55,10 +56,8 @@ pub mod columnar;
 pub mod csv;
 pub mod delta;
 pub mod dot;
-pub mod index;
 pub mod json;
 pub mod parse;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod symbols;

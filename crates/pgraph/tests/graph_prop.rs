@@ -1,8 +1,7 @@
 //! Property tests for the Property Graph substrate: JSON round-trips,
-//! compaction invariants, index/scan agreement, and columnar/snapshot
-//! round-trips (tombstoned id space preserved bit for bit).
+//! compaction invariants, and columnar/snapshot round-trips (tombstoned
+//! id space preserved bit for bit).
 
-use pgraph::index::GraphIndex;
 use pgraph::{json, snapshot, ColumnarGraph, NodeId, PropertyGraph, Value};
 use proptest::prelude::*;
 
@@ -97,27 +96,6 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn index_agrees_with_scans(spec in graph_spec()) {
-        let g = build(&spec);
-        let ix = GraphIndex::build(&g);
-        for v in g.node_ids() {
-            let label = g.node_label(v).unwrap();
-            prop_assert!(ix.nodes_with_label(label).contains(&v));
-            // Per-label out-edge groups must partition the out-edges.
-            let scan: usize = g.out_edges(v).count();
-            let mut labels: Vec<String> =
-                g.out_edges(v).map(|e| e.label().to_owned()).collect();
-            labels.sort();
-            labels.dedup();
-            let grouped: usize = labels
-                .iter()
-                .map(|l| ix.out_edges_labelled(v, l).len())
-                .sum();
-            prop_assert_eq!(scan, grouped);
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! is the community's ISO-GQL-adjacent schema language for the same job.
 //! This crate makes the rule kernels *language*-agnostic: a hand-rolled
 //! [`lexer`]/[`parser`] for a practical PG-Schema subset, a [`lower`]ing
-//! compiler onto the existing [`pg_schema::PgSchema`] core (so all four
+//! compiler onto the existing [`pg_schema::PgSchema`] core (so the
 //! engines, metrics, sessions, durability and replication just work),
 //! and a [`print`]er rendering SDL documents back as PG-Schema over the
 //! overlapping fragment.

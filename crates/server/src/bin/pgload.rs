@@ -450,7 +450,7 @@ fn run_smoke(addr: &str) -> Result<(), String> {
 
     // Stateless validation on every engine agrees the sample conforms.
     let envelope = envelope(4);
-    for engine in ["naive", "indexed", "parallel", "incremental"] {
+    for &engine in pg_schema::Engine::NAMES {
         let (status, body) = client
             .request("POST", &validate_target(engine), envelope.as_bytes())
             .map_err(|e| format!("validate({engine}): {e}"))?;
@@ -1135,7 +1135,7 @@ fn canonical_engineless(body: &[u8]) -> Result<String, String> {
 /// compatible candidate, opens a breaking window, applies deltas
 /// through it, SIGKILLs the leader mid-window and requires recovery to
 /// re-open the window (commit still refused), force-commits and checks
-/// the post-commit report against all four one-shot engines, then runs
+/// the post-commit report against every one-shot engine, then runs
 /// a clean compatible commit and a begin/abort cycle — with a follower
 /// tailing the whole history, required to finish byte-identical to the
 /// leader and to answer migrate writes with `421`.
@@ -1394,7 +1394,7 @@ fn run_migrate_check(server_bin: &str) -> Result<(), String> {
         oneshot.push_str(&String::from_utf8_lossy(&graph_json));
         oneshot.push('}');
         let session_canonical = canonical_engineless(&session_report)?;
-        for engine in ["naive", "indexed", "parallel", "incremental"] {
+        for &engine in pg_schema::Engine::NAMES {
             let (status, body) = leader
                 .request(
                     "POST",
@@ -1505,7 +1505,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: pgload --addr HOST:PORT [--mode oneshot|session|mixed] \
          [--connections N] [--duration SECS] [--users N] \
-         [--engine naive|indexed|parallel|incremental] \
+         [--engine naive|indexed|incremental] \
          [--lang sdl|pgschema] \
          [--rate REQS_PER_SEC] [--cluster HOST:PORT,HOST:PORT,...] \
          [--hold CONNECTIONS] [--smoke] \

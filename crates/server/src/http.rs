@@ -315,24 +315,10 @@ impl Response {
     }
 }
 
-/// Appends a JSON string literal (with escaping) to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// Appends a JSON string literal (with escaping) to `out` — the
+/// workspace's one escaper, re-exported for the server's hand-built
+/// bodies and log lines.
+pub use pgraph::json::push_json_string;
 
 fn reason(status: u16) -> &'static str {
     match status {
@@ -490,13 +476,13 @@ mod tests {
     #[test]
     fn parse_head_extracts_query_and_headers() {
         let (req, body_len) = parse_head(
-            b"POST /validate?engine=parallel&x=a%20b HTTP/1.1\r\n\
+            b"POST /validate?engine=naive&x=a%20b HTTP/1.1\r\n\
               Host: localhost\r\nContent-Length: 12\r\n\r\n",
         )
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/validate");
-        assert_eq!(req.query_param("engine"), Some("parallel"));
+        assert_eq!(req.query_param("engine"), Some("naive"));
         assert_eq!(req.query_param("x"), Some("a b"));
         assert_eq!(req.header("host"), Some("localhost"));
         assert_eq!(body_len, 12);
@@ -594,7 +580,7 @@ mod tests {
     #[test]
     fn json_string_escaping() {
         let mut out = String::new();
-        push_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        push_json_string(&mut out, "a\"b\\c\nd\u{1}\u{8}\u{c}");
+        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\\b\\f\"");
     }
 }

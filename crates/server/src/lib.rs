@@ -35,7 +35,7 @@
 //!
 //! | Route | Meaning |
 //! |---|---|
-//! | `POST /validate?engine=naive\|indexed\|parallel\|incremental` | stateless one-shot validation |
+//! | `POST /validate?engine=naive\|indexed\|incremental` | stateless one-shot validation |
 //! | `POST /sessions` | create an incremental session (schema + graph) |
 //! | `POST /sessions/{id}/deltas` | apply a [`pgraph::GraphDelta`], returns the patched report |
 //! | `GET /sessions/{id}/report` | current report |

@@ -27,6 +27,54 @@ pub const WAL_LATENCY_BUCKETS_MICROS: [u64; 8] = [5, 10, 25, 50, 100, 500, 2_500
 /// Zero-event wakeups (timeout ticks) are not recorded.
 pub const WAKEUP_EVENT_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
+/// A Prometheus histogram over fixed upper bounds plus an implicit
+/// `+Inf` bucket. Observing is two relaxed atomic increments; the
+/// cumulative bucket counts are formed at render time, and the `+Inf`
+/// total doubles as the sample count.
+struct Histogram {
+    bounds: &'static [u64],
+    /// Per-bucket (non-cumulative) counts: one slot per bound, then
+    /// `+Inf`.
+    buckets: Box<[AtomicU64]>,
+    sum: AtomicU64,
+}
+
+impl Histogram {
+    fn new(bounds: &'static [u64]) -> Self {
+        Histogram {
+            bounds,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+        }
+    }
+
+    fn observe(&self, value: u64) {
+        let bucket = self
+            .bounds
+            .iter()
+            .position(|&b| value <= b)
+            .unwrap_or(self.bounds.len());
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Appends the family's HELP/TYPE header, cumulative buckets, sum
+    /// and count.
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+        let mut cumulative = 0u64;
+        for (i, bucket) in self.buckets.iter().enumerate() {
+            cumulative += bucket.load(Ordering::Relaxed);
+            let le = self.bounds.get(i).map_or("+Inf".to_owned(), u64::to_string);
+            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+        }
+        out.push_str(&format!(
+            "{name}_sum {}\n{name}_count {cumulative}\n",
+            self.sum.load(Ordering::Relaxed)
+        ));
+    }
+}
+
 /// Gauges and store counters sampled outside [`Metrics`] at render time
 /// (open connections, live/evicted/recovered session counts, and — when
 /// the server runs with `--data-dir` — the store's own counters).
@@ -104,12 +152,7 @@ pub struct ReplicationMetrics {
     pub last_applied_seq: AtomicU64,
 }
 
-const ENGINES: [Engine; 4] = [
-    Engine::Naive,
-    Engine::Indexed,
-    Engine::Parallel,
-    Engine::Incremental,
-];
+const ENGINES: [Engine; 3] = [Engine::Naive, Engine::Indexed, Engine::Incremental];
 
 /// Per-engine counters aggregated from [`ValidationMetrics`] of the runs
 /// the server executed.
@@ -127,38 +170,32 @@ struct EngineCounters {
 pub struct Metrics {
     /// `(route template, status)` → request count.
     requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
-    /// Cumulative histogram counts per bucket of
-    /// [`LATENCY_BUCKETS_MICROS`], plus one `+Inf` slot at the end.
-    latency_buckets: [AtomicU64; LATENCY_BUCKETS_MICROS.len() + 1],
-    latency_sum_micros: AtomicU64,
-    latency_count: AtomicU64,
+    /// Request latency over [`LATENCY_BUCKETS_MICROS`].
+    latency: Histogram,
     /// Connections shed with `503` because the connection cap was hit.
     shed: AtomicU64,
     /// Connections accepted since startup (shed ones included).
     accepted: AtomicU64,
     /// `epoll_wait` returns that delivered at least one event, per core.
     wakeups: Vec<AtomicU64>,
-    /// Events-per-wakeup histogram over [`WAKEUP_EVENT_BUCKETS`], plus
-    /// one `+Inf` slot at the end; aggregated across cores.
-    wakeup_event_buckets: [AtomicU64; WAKEUP_EVENT_BUCKETS.len() + 1],
-    wakeup_event_sum: AtomicU64,
+    /// Events per wakeup over [`WAKEUP_EVENT_BUCKETS`], aggregated
+    /// across cores.
+    wakeup_events: Histogram,
     /// Connections handed from one core to a session's home core.
     migrations: AtomicU64,
     /// Schema-migration API actions, indexed like [`MIGRATION_ACTIONS`].
     migration_actions: [AtomicU64; MIGRATION_ACTIONS.len()],
     /// Per-engine validation counters, indexed like [`ENGINES`].
-    engines: [EngineCounters; 4],
+    engines: [EngineCounters; ENGINES.len()],
     /// Violations found per rule across all runs, indexed like
     /// [`Rule::ALL`].
     rule_violations: [AtomicU64; Rule::ALL.len()],
     /// Wall time spent per rule kernel across all runs (nanoseconds),
     /// indexed like [`Rule::ALL`].
     rule_nanos: [AtomicU64; Rule::ALL.len()],
-    /// WAL append-latency histogram (includes the fsync when the policy
-    /// syncs on the append path), plus one `+Inf` slot at the end.
-    wal_append_buckets: [AtomicU64; WAL_LATENCY_BUCKETS_MICROS.len() + 1],
-    wal_append_sum_micros: AtomicU64,
-    wal_append_count: AtomicU64,
+    /// WAL append latency over [`WAL_LATENCY_BUCKETS_MICROS`] (includes
+    /// the fsync when the policy syncs on the append path).
+    wal_append: Histogram,
     /// Follower-side replication counters (all zero on a leader).
     pub replication: ReplicationMetrics,
 }
@@ -168,22 +205,17 @@ impl Metrics {
     pub fn new(cores: usize) -> Self {
         Metrics {
             requests: Mutex::new(BTreeMap::new()),
-            latency_buckets: Default::default(),
-            latency_sum_micros: AtomicU64::new(0),
-            latency_count: AtomicU64::new(0),
+            latency: Histogram::new(&LATENCY_BUCKETS_MICROS),
             shed: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             wakeups: (0..cores.max(1)).map(|_| AtomicU64::new(0)).collect(),
-            wakeup_event_buckets: Default::default(),
-            wakeup_event_sum: AtomicU64::new(0),
+            wakeup_events: Histogram::new(&WAKEUP_EVENT_BUCKETS),
             migrations: AtomicU64::new(0),
             migration_actions: Default::default(),
             engines: Default::default(),
             rule_violations: Default::default(),
             rule_nanos: Default::default(),
-            wal_append_buckets: Default::default(),
-            wal_append_sum_micros: AtomicU64::new(0),
-            wal_append_count: AtomicU64::new(0),
+            wal_append: Histogram::new(&WAL_LATENCY_BUCKETS_MICROS),
             replication: ReplicationMetrics::default(),
         }
     }
@@ -191,14 +223,7 @@ impl Metrics {
     /// Records the latency of one durable WAL append (write plus
     /// whatever syncing the fsync policy performed inline).
     pub fn record_wal_append(&self, micros: u64) {
-        let bucket = WAL_LATENCY_BUCKETS_MICROS
-            .iter()
-            .position(|&b| micros <= b)
-            .unwrap_or(WAL_LATENCY_BUCKETS_MICROS.len());
-        self.wal_append_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.wal_append_sum_micros
-            .fetch_add(micros, Ordering::Relaxed);
-        self.wal_append_count.fetch_add(1, Ordering::Relaxed);
+        self.wal_append.observe(micros);
     }
 
     /// Records one served request: its route template (e.g.
@@ -210,13 +235,7 @@ impl Metrics {
             .unwrap()
             .entry((route, status))
             .or_insert(0) += 1;
-        let bucket = LATENCY_BUCKETS_MICROS
-            .iter()
-            .position(|&b| micros <= b)
-            .unwrap_or(LATENCY_BUCKETS_MICROS.len());
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_micros.fetch_add(micros, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
+        self.latency.observe(micros);
     }
 
     /// Records one connection shed with `503` by the accept thread.
@@ -240,13 +259,7 @@ impl Metrics {
         if let Some(w) = self.wakeups.get(core) {
             w.fetch_add(1, Ordering::Relaxed);
         }
-        let events = events as u64;
-        let bucket = WAKEUP_EVENT_BUCKETS
-            .iter()
-            .position(|&b| events <= b)
-            .unwrap_or(WAKEUP_EVENT_BUCKETS.len());
-        self.wakeup_event_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.wakeup_event_sum.fetch_add(events, Ordering::Relaxed);
+        self.wakeup_events.observe(events as u64);
     }
 
     /// Records one connection migrated to its session's home core.
@@ -298,29 +311,11 @@ impl Metrics {
             ));
         }
 
-        out.push_str(
-            "# HELP pgschemad_request_duration_micros Request latency histogram (microseconds).\n",
+        self.latency.render(
+            &mut out,
+            "pgschemad_request_duration_micros",
+            "Request latency histogram (microseconds).",
         );
-        out.push_str("# TYPE pgschemad_request_duration_micros histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in LATENCY_BUCKETS_MICROS.iter().enumerate() {
-            cumulative += self.latency_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pgschemad_request_duration_micros_bucket{{le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.latency_buckets[LATENCY_BUCKETS_MICROS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pgschemad_request_duration_micros_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pgschemad_request_duration_micros_sum {}\n",
-            self.latency_sum_micros.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "pgschemad_request_duration_micros_count {}\n",
-            self.latency_count.load(Ordering::Relaxed)
-        ));
 
         out.push_str("# HELP pgschemad_validations_total Validation runs, by engine.\n");
         out.push_str("# TYPE pgschemad_validations_total counter\n");
@@ -446,26 +441,11 @@ impl Metrics {
                 w.load(Ordering::Relaxed)
             ));
         }
-        out.push_str(
-            "# HELP pgschemad_wakeup_events Events delivered per productive epoll_wait return.\n",
+        self.wakeup_events.render(
+            &mut out,
+            "pgschemad_wakeup_events",
+            "Events delivered per productive epoll_wait return.",
         );
-        out.push_str("# TYPE pgschemad_wakeup_events histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in WAKEUP_EVENT_BUCKETS.iter().enumerate() {
-            cumulative += self.wakeup_event_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pgschemad_wakeup_events_bucket{{le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.wakeup_event_buckets[WAKEUP_EVENT_BUCKETS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pgschemad_wakeup_events_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pgschemad_wakeup_events_sum {}\n",
-            self.wakeup_event_sum.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!("pgschemad_wakeup_events_count {cumulative}\n"));
         out.push_str(
             "# HELP pgschemad_session_migrations_total Connections handed to a session's home core.\n",
         );
@@ -496,31 +476,11 @@ impl Metrics {
             g.migration_windows_open
         ));
 
-        out.push_str(
-            "# HELP pgschemad_wal_append_duration_micros WAL append latency histogram \
-             (microseconds; includes inline fsync).\n",
+        self.wal_append.render(
+            &mut out,
+            "pgschemad_wal_append_duration_micros",
+            "WAL append latency histogram (microseconds; includes inline fsync).",
         );
-        out.push_str("# TYPE pgschemad_wal_append_duration_micros histogram\n");
-        let mut cumulative = 0u64;
-        for (i, &bound) in WAL_LATENCY_BUCKETS_MICROS.iter().enumerate() {
-            cumulative += self.wal_append_buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "pgschemad_wal_append_duration_micros_bucket{{le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative +=
-            self.wal_append_buckets[WAL_LATENCY_BUCKETS_MICROS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "pgschemad_wal_append_duration_micros_bucket{{le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "pgschemad_wal_append_duration_micros_sum {}\n",
-            self.wal_append_sum_micros.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "pgschemad_wal_append_duration_micros_count {}\n",
-            self.wal_append_count.load(Ordering::Relaxed)
-        ));
 
         if let Some(follower) = g.role_follower {
             out.push_str(
@@ -637,8 +597,7 @@ fn engine_index(engine: Engine) -> usize {
     match engine {
         Engine::Naive => 0,
         Engine::Indexed => 1,
-        Engine::Parallel => 2,
-        Engine::Incremental => 3,
+        Engine::Incremental => 2,
     }
 }
 
@@ -727,7 +686,6 @@ mod tests {
         let m = Metrics::new(1);
         let run = |ws1_violations| ValidationMetrics {
             engine: "indexed",
-            threads: 1,
             rules: vec![
                 RuleMetrics {
                     rule: Rule::WS1,
@@ -745,7 +703,7 @@ mod tests {
             ..ValidationMetrics::default()
         };
         m.record_validation(Engine::Indexed, Some(&run(2)));
-        m.record_validation(Engine::Parallel, Some(&run(3)));
+        m.record_validation(Engine::Incremental, Some(&run(3)));
         let text = m.render(&RenderGauges::default());
         // Without a store, the store-only families stay absent.
         assert!(!text.contains("pgschemad_wal_appends_total"));
@@ -754,6 +712,89 @@ mod tests {
         assert!(text.contains("pgschemad_rule_nanos_total{rule=\"WS1\"} 2000"));
         assert!(text.contains("pgschemad_rule_nanos_total{rule=\"DS7\"} 1000"));
         assert!(text.contains("pgschemad_rule_violations_total{rule=\"SS1\"} 0"));
+    }
+
+    /// The exposition block of one metric family: its HELP line up to
+    /// the next family's.
+    fn family_block<'t>(text: &'t str, name: &str) -> &'t str {
+        let start = text
+            .find(&format!("# HELP {name} "))
+            .unwrap_or_else(|| panic!("{name} missing:\n{text}"));
+        let rest = &text[start..];
+        let end = rest[1..].find("# HELP ").map_or(rest.len(), |i| i + 1);
+        &rest[..end]
+    }
+
+    #[test]
+    fn histogram_families_render_byte_for_byte() {
+        let m = Metrics::new(2);
+        for micros in [10, 60, 120, 80_000, 300_000] {
+            m.record_request("/validate", 200, micros);
+        }
+        for micros in [3, 7, 30, 20_000] {
+            m.record_wal_append(micros);
+        }
+        m.record_wakeup(0, 1);
+        m.record_wakeup(0, 3);
+        m.record_wakeup(1, 70);
+        let text = m.render(&RenderGauges::default());
+        assert_eq!(
+            family_block(&text, "pgschemad_request_duration_micros"),
+            "# HELP pgschemad_request_duration_micros Request latency histogram (microseconds).\n\
+             # TYPE pgschemad_request_duration_micros histogram\n\
+             pgschemad_request_duration_micros_bucket{le=\"50\"} 1\n\
+             pgschemad_request_duration_micros_bucket{le=\"100\"} 2\n\
+             pgschemad_request_duration_micros_bucket{le=\"250\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"500\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"1000\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"2500\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"5000\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"10000\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"50000\"} 3\n\
+             pgschemad_request_duration_micros_bucket{le=\"250000\"} 4\n\
+             pgschemad_request_duration_micros_bucket{le=\"+Inf\"} 5\n\
+             pgschemad_request_duration_micros_sum 380190\n\
+             pgschemad_request_duration_micros_count 5\n"
+        );
+        assert_eq!(
+            family_block(&text, "pgschemad_wal_append_duration_micros"),
+            "# HELP pgschemad_wal_append_duration_micros WAL append latency histogram \
+             (microseconds; includes inline fsync).\n\
+             # TYPE pgschemad_wal_append_duration_micros histogram\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"5\"} 1\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"10\"} 2\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"25\"} 2\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"50\"} 3\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"100\"} 3\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"500\"} 3\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"2500\"} 3\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"10000\"} 3\n\
+             pgschemad_wal_append_duration_micros_bucket{le=\"+Inf\"} 4\n\
+             pgschemad_wal_append_duration_micros_sum 20040\n\
+             pgschemad_wal_append_duration_micros_count 4\n"
+        );
+        assert_eq!(
+            family_block(&text, "pgschemad_wakeup_events"),
+            "# HELP pgschemad_wakeup_events Events delivered per productive epoll_wait return.\n\
+             # TYPE pgschemad_wakeup_events histogram\n\
+             pgschemad_wakeup_events_bucket{le=\"1\"} 1\n\
+             pgschemad_wakeup_events_bucket{le=\"2\"} 1\n\
+             pgschemad_wakeup_events_bucket{le=\"4\"} 2\n\
+             pgschemad_wakeup_events_bucket{le=\"8\"} 2\n\
+             pgschemad_wakeup_events_bucket{le=\"16\"} 2\n\
+             pgschemad_wakeup_events_bucket{le=\"32\"} 2\n\
+             pgschemad_wakeup_events_bucket{le=\"64\"} 2\n\
+             pgschemad_wakeup_events_bucket{le=\"+Inf\"} 3\n\
+             pgschemad_wakeup_events_sum 74\n\
+             pgschemad_wakeup_events_count 3\n"
+        );
+        assert_eq!(
+            family_block(&text, "pgschemad_wakeups_total"),
+            "# HELP pgschemad_wakeups_total Productive epoll_wait returns, by reactor core.\n\
+             # TYPE pgschemad_wakeups_total counter\n\
+             pgschemad_wakeups_total{core=\"0\"} 2\n\
+             pgschemad_wakeups_total{core=\"1\"} 1\n"
+        );
     }
 
     #[test]

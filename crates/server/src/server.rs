@@ -1379,8 +1379,25 @@ fn log_request(
     micros: u64,
     engine: Option<&'static str>,
 ) {
-    let line = match format {
-        LogFormat::Off => return,
+    let Some(line) = log_line(format, method, path, status, micros, engine) else {
+        return;
+    };
+    let stderr = io::stderr();
+    let mut out = stderr.lock();
+    let _ = writeln!(out, "{line}");
+}
+
+/// The request log line in `format` (`None` when logging is off).
+fn log_line(
+    format: LogFormat,
+    method: &str,
+    path: &str,
+    status: u16,
+    micros: u64,
+    engine: Option<&'static str>,
+) -> Option<String> {
+    Some(match format {
+        LogFormat::Off => return None,
         LogFormat::Text => format!(
             "method={method} path={path} status={status} micros={micros} engine={}",
             engine.unwrap_or("-")
@@ -1401,10 +1418,7 @@ fn log_request(
             line.push('}');
             line
         }
-    };
-    let stderr = io::stderr();
-    let mut out = stderr.lock();
-    let _ = writeln!(out, "{line}");
+    })
 }
 
 #[cfg(test)]
@@ -1434,6 +1448,25 @@ mod tests {
             err.to_string(),
             "unknown log format `xml` (expected text|json|off)"
         );
+    }
+
+    #[test]
+    fn json_log_lines_use_short_control_escapes() {
+        let line = log_line(
+            LogFormat::Json,
+            "GET",
+            "/sessions/1/report?label=a\u{8}b\u{c}c",
+            200,
+            42,
+            Some("incremental"),
+        )
+        .unwrap();
+        assert_eq!(
+            line,
+            "{\"method\":\"GET\",\"path\":\"/sessions/1/report?label=a\\bb\\fc\",\
+             \"status\":200,\"micros\":42,\"engine\":\"incremental\"}"
+        );
+        assert_eq!(log_line(LogFormat::Off, "GET", "/", 200, 1, None), None);
     }
 
     #[test]

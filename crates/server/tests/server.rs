@@ -94,7 +94,7 @@ fn stateless_validate_on_every_engine() {
     let (status, body) = client.request("GET", "/healthz", b"");
     assert_eq!((status, body.as_slice()), (200, b"ok\n".as_slice()));
 
-    for engine in ["naive", "indexed", "parallel", "incremental"] {
+    for &engine in pg_schema::Engine::NAMES {
         let (status, report) =
             client.request_json("POST", &format!("/validate?engine={engine}"), &envelope(3));
         assert_eq!(status, 200, "engine {engine}");
@@ -182,7 +182,17 @@ fn metrics_count_requests_and_sessions() {
     let daemon = Daemon::start(2, 16);
     let mut client = Client::connect(daemon.addr);
 
-    client.request("POST", "/validate?engine=parallel", &envelope(2));
+    // The removed parallel engine is refused like any unknown name, and
+    // the error lists the engines that remain.
+    let (status, body) = client.request("POST", "/validate?engine=parallel", &envelope(2));
+    assert_eq!(status, 400);
+    let body = String::from_utf8(body).unwrap();
+    assert!(
+        body.contains("unknown engine `parallel` (expected naive|indexed|incremental)"),
+        "{body}"
+    );
+    let (status, _) = client.request("POST", "/validate?engine=naive", &envelope(2));
+    assert_eq!(status, 200);
     let (status, created) = client.request_json("POST", "/sessions", &envelope(2));
     assert_eq!(status, 201);
     assert!(created.get("session").is_some());
@@ -190,9 +200,11 @@ fn metrics_count_requests_and_sessions() {
     let (status, body) = client.request("GET", "/metrics", b"");
     assert_eq!(status, 200);
     let text = String::from_utf8(body).unwrap();
-    assert!(text.contains("pgschemad_validations_total{engine=\"parallel\"} 1"));
+    assert!(text.contains("pgschemad_validations_total{engine=\"naive\"} 1"));
+    assert!(!text.contains("engine=\"parallel\""), "{text}");
     assert!(text.contains("pgschemad_sessions_live 1"));
     assert!(text.contains("pgschemad_http_requests_total{route=\"/validate\",status=\"200\"} 1"));
+    assert!(text.contains("pgschemad_http_requests_total{route=\"/validate\",status=\"400\"} 1"));
     assert!(text.contains("pgschemad_request_duration_micros_bucket"));
 
     daemon.stop();
@@ -255,7 +267,7 @@ fn graceful_shutdown_completes_in_flight_work() {
 
 /// Satellite: hammer one session from many threads — interleaved delta
 /// POSTs and report GETs — then require the final report to equal a
-/// from-scratch validation by all four engines (the engine-agreement
+/// from-scratch validation by every engine (the engine-agreement
 /// oracle of `tests/engine_agreement.rs`, aimed at the server).
 #[test]
 fn hammered_session_report_equals_from_scratch_validation() {
@@ -311,7 +323,7 @@ fn hammered_session_report_equals_from_scratch_validation() {
     });
 
     // Oracle: fetch the final graph, revalidate from scratch with all
-    // four engines, and require each to agree with the session's report.
+    // engines, and require each to agree with the session's report.
     let (status, final_report) = client.request_json("GET", &format!("/sessions/{id}/report"), b"");
     assert_eq!(status, 200);
     let (status, graph_doc) = client.request_json("GET", &format!("/sessions/{id}/graph"), b"");
@@ -321,12 +333,7 @@ fn hammered_session_report_equals_from_scratch_validation() {
 
     // Two writers ended broken (WS1 on their user's login).
     assert_eq!(final_report.get("conforms"), Some(&Json::Bool(false)));
-    for engine in [
-        Engine::Naive,
-        Engine::Indexed,
-        Engine::Parallel,
-        Engine::Incremental,
-    ] {
+    for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
         let scratch = validate(&served, &schema, &ValidationOptions::with_engine(engine));
         let scratch_doc = Json::parse(&scratch.to_json()).unwrap();
         assert_eq!(

@@ -1,7 +1,7 @@
-//! Property-based tests: the naive, indexed, parallel and incremental
-//! validation engines decide the same relation, on random schemas ×
-//! random (possibly mutated) graphs, across worker counts, and — for
-//! the incremental engine — after every step of arbitrary mutation
+//! Property-based tests: the naive, indexed and incremental validation
+//! engines decide the same relation, on random schemas × random
+//! (possibly mutated) graphs, and — for the incremental engine — after
+//! every step of arbitrary mutation
 //! sequences; generated conforming graphs conform; injected defects are
 //! caught. Agreement is checked down to per-rule violation multisets
 //! and byte-identical canonical renderings, with and without
@@ -14,17 +14,9 @@ use pg_schema::{
 };
 use proptest::prelude::*;
 
-/// Every engine configuration the agreement suite compares against the
-/// naive oracle: serial kernels, the stateless incremental path, and the
-/// parallel planner at 1 (degenerate shard), 2 (cross-shard merge) and 8
-/// (shards smaller than some label groups) workers.
-const KERNEL_CONFIGS: [(Engine, usize); 5] = [
-    (Engine::Indexed, 1),
-    (Engine::Incremental, 1),
-    (Engine::Parallel, 1),
-    (Engine::Parallel, 2),
-    (Engine::Parallel, 8),
-];
+/// Every kernel engine the agreement suite compares against the naive
+/// oracle: the indexed planner and the stateless incremental path.
+const KERNEL_ENGINES: [Engine; 2] = [Engine::Indexed, Engine::Incremental];
 
 fn schema_for(seed: u64) -> PgSchema {
     let sdl = SchemaGen::new(SchemaGenParams {
@@ -42,11 +34,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Engines agree violation-for-violation on arbitrary (conforming or
-    /// not) generated graphs — four ways (a bare validate through
-    /// `Engine::Incremental` takes the delta engine's full-pass path),
-    /// and for the parallel engine across worker counts (1 exercises the
-    /// degenerate shard, 2 the cross-shard merge, 8 shards smaller than
-    /// some label groups).
+    /// not) generated graphs — three ways (a bare validate through
+    /// `Engine::Incremental` takes the delta engine's full-pass path).
     #[test]
     fn engines_agree(schema_seed in 0u64..30, graph_seed in 0u64..30) {
         let schema = schema_for(schema_seed);
@@ -66,17 +55,6 @@ proptest! {
             &incremental, &indexed,
             "incremental:\n{}indexed:\n{}", incremental, indexed
         );
-        for threads in [1usize, 2, 8] {
-            let opts = ValidationOptions::builder()
-                .engine(Engine::Parallel)
-                .threads(threads)
-                .build();
-            let parallel = validate(&graph, &schema, &opts);
-            prop_assert_eq!(
-                &parallel, &indexed,
-                "parallel ({} threads):\n{}indexed:\n{}", threads, parallel, indexed
-            );
-        }
     }
 
     /// Conforming generation + injection: each applicable defect is
@@ -96,28 +74,11 @@ proptest! {
         if !pg_datagen::inject(&mut g, &schema, defect) {
             return Ok(()); // defect not applicable to this schema
         }
-        for engine in [
-            Engine::Naive,
-            Engine::Indexed,
-            Engine::Parallel,
-            Engine::Incremental,
-        ] {
+        for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
             let report = validate(&g, &schema, &ValidationOptions::with_engine(engine));
             prop_assert!(
                 report.by_rule(defect.rule()).next().is_some(),
                 "{:?} not caught by {:?}; report:\n{}", defect, engine, report
-            );
-        }
-        // Injected defects survive sharding at any worker count.
-        for threads in [2usize, 8] {
-            let opts = ValidationOptions::builder()
-                .engine(Engine::Parallel)
-                .threads(threads)
-                .build();
-            let report = validate(&g, &schema, &opts);
-            prop_assert!(
-                report.by_rule(defect.rule()).next().is_some(),
-                "{:?} lost at {} threads; report:\n{}", defect, threads, report
             );
         }
     }
@@ -177,7 +138,7 @@ proptest! {
         );
     }
 
-    /// Per-rule violation multisets agree across all four engines. Full
+    /// Per-rule violation multisets agree across all three engines. Full
     /// report equality already implies this; asserting it per rule keeps
     /// the failure signal sharp (which kernel diverged) and pins the
     /// property the kernel layer promises: each of the fifteen rules has
@@ -192,20 +153,13 @@ proptest! {
             ..Default::default()
         }).generate();
         let oracle = validate(&graph, &schema, &ValidationOptions::with_engine(Engine::Naive));
-        for (engine, threads) in KERNEL_CONFIGS {
-            let opts = ValidationOptions::builder()
-                .engine(engine)
-                .threads(threads)
-                .build();
-            let got = validate(&graph, &schema, &opts);
-            prop_assert_eq!(got.counts(), oracle.counts(), "{:?}/{}", engine, threads);
+        for engine in KERNEL_ENGINES {
+            let got = validate(&graph, &schema, &ValidationOptions::with_engine(engine));
+            prop_assert_eq!(got.counts(), oracle.counts(), "{:?}", engine);
             for rule in Rule::ALL {
                 let a: Vec<_> = got.by_rule(rule).collect();
                 let b: Vec<_> = oracle.by_rule(rule).collect();
-                prop_assert_eq!(
-                    a, b,
-                    "{:?} multiset diverged on {:?} at {} threads", rule, engine, threads
-                );
+                prop_assert_eq!(a, b, "{:?} multiset diverged on {:?}", rule, engine);
             }
         }
         // Under truncation identical subsets are not promised (engines
@@ -215,20 +169,19 @@ proptest! {
         let total = oracle.len();
         if total > 1 {
             let limit = total / 2;
-            for (engine, threads) in KERNEL_CONFIGS {
+            for engine in KERNEL_ENGINES {
                 let opts = ValidationOptions::builder()
                     .engine(engine)
-                    .threads(threads)
                     .max_violations(limit)
                     .build();
                 let got = validate(&graph, &schema, &opts);
-                prop_assert!(got.truncated(), "{:?}/{} not flagged truncated", engine, threads);
+                prop_assert!(got.truncated(), "{:?} not flagged truncated", engine);
                 prop_assert!(!got.conforms());
-                prop_assert!(got.len() <= limit, "{:?}/{} exceeded limit", engine, threads);
+                prop_assert!(got.len() <= limit, "{:?} exceeded limit", engine);
                 for v in got.violations() {
                     prop_assert!(
                         oracle.violations().contains(v),
-                        "{:?}/{} fabricated {} under truncation", engine, threads, v
+                        "{:?} fabricated {} under truncation", engine, v
                     );
                 }
             }
@@ -254,14 +207,10 @@ proptest! {
         };
         let (oracle_json, oracle_text) =
             render(&ValidationOptions::with_engine(Engine::Naive));
-        for (engine, threads) in KERNEL_CONFIGS {
-            let opts = ValidationOptions::builder()
-                .engine(engine)
-                .threads(threads)
-                .build();
-            let (json, text) = render(&opts);
-            prop_assert_eq!(&json, &oracle_json, "{:?}/{} JSON diverged", engine, threads);
-            prop_assert_eq!(&text, &oracle_text, "{:?}/{} text diverged", engine, threads);
+        for engine in KERNEL_ENGINES {
+            let (json, text) = render(&ValidationOptions::with_engine(engine));
+            prop_assert_eq!(&json, &oracle_json, "{:?} JSON diverged", engine);
+            prop_assert_eq!(&text, &oracle_text, "{:?} text diverged", engine);
         }
     }
 
@@ -277,15 +226,14 @@ proptest! {
             seed: graph_seed,
             ..Default::default()
         }).generate();
-        for (engine, threads) in KERNEL_CONFIGS {
+        for engine in KERNEL_ENGINES {
             let opts = ValidationOptions::builder()
                 .engine(engine)
-                .threads(threads)
                 .collect_metrics(true)
                 .build();
             let report = validate(&graph, &schema, &opts);
             let m = report.metrics().expect("metrics requested");
-            prop_assert_eq!(m.rules.len(), Rule::ALL.len(), "{:?}/{}", engine, threads);
+            prop_assert_eq!(m.rules.len(), Rule::ALL.len(), "{:?}", engine);
             prop_assert!(m.rules.windows(2).all(|w| w[0].rule < w[1].rule));
             for rm in &m.rules {
                 // Kernel counts are pre-canonicalization, so duplicate
@@ -295,13 +243,13 @@ proptest! {
                 let canonical = report.by_rule(rm.rule).count();
                 prop_assert!(
                     rm.violations >= canonical,
-                    "{:?} undercounted on {:?} at {} threads: {} < {}",
-                    rm.rule, engine, threads, rm.violations, canonical
+                    "{:?} undercounted on {:?}: {} < {}",
+                    rm.rule, engine, rm.violations, canonical
                 );
                 prop_assert_eq!(
                     rm.violations == 0,
                     canonical == 0,
-                    "{:?} misattributed on {:?} at {} threads", rm.rule, engine, threads
+                    "{:?} misattributed on {:?}", rm.rule, engine
                 );
             }
         }
@@ -333,21 +281,15 @@ proptest! {
         };
         let (oracle_json, oracle_text) =
             render(&via_sdl, &ValidationOptions::with_engine(Engine::Naive));
-        for (engine, threads) in
-            std::iter::once((Engine::Naive, 1)).chain(KERNEL_CONFIGS)
-        {
-            let opts = ValidationOptions::builder()
-                .engine(engine)
-                .threads(threads)
-                .build();
-            let (json, text) = render(&via_pgs, &opts);
+        for engine in std::iter::once(Engine::Naive).chain(KERNEL_ENGINES) {
+            let (json, text) = render(&via_pgs, &ValidationOptions::with_engine(engine));
             prop_assert_eq!(
                 &json, &oracle_json,
-                "pgschema-compiled JSON diverged on {:?}/{}", engine, threads
+                "pgschema-compiled JSON diverged on {:?}", engine
             );
             prop_assert_eq!(
                 &text, &oracle_text,
-                "pgschema-compiled text diverged on {:?}/{}", engine, threads
+                "pgschema-compiled text diverged on {:?}", engine
             );
         }
         // And the rendering itself is stable: PG-Schema → SDL → PG-Schema

@@ -39,7 +39,7 @@ fn options(weak: bool, directives: bool, strong: bool, engine: Engine) -> Valida
 fn each_family_is_independently_selectable() {
     let s = schema();
     let g = tri_violating_graph();
-    for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+    for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
         let weak = validate(&g, &s, &options(true, false, false, engine));
         assert_eq!(weak.len(), 1, "{weak}");
         assert_eq!(weak.violations()[0].rule(), Rule::WS1);
@@ -58,7 +58,7 @@ fn each_family_is_independently_selectable() {
 fn full_run_is_the_union_of_the_families() {
     let s = schema();
     let g = tri_violating_graph();
-    for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+    for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
         let full = validate(&g, &s, &ValidationOptions::with_engine(engine));
         assert_eq!(full.len(), 3, "{full}");
         let mut families: Vec<RuleFamily> = full
@@ -116,7 +116,7 @@ fn directive_constraints_apply_even_on_weakly_invalid_graphs() {
 fn max_violations_truncates_on_every_engine() {
     let s = schema();
     let g = tri_violating_graph();
-    for engine in [Engine::Naive, Engine::Indexed, Engine::Parallel] {
+    for engine in [Engine::Naive, Engine::Indexed, Engine::Incremental] {
         let opts = ValidationOptions::builder()
             .engine(engine)
             .max_violations(1)
@@ -148,7 +148,7 @@ fn metrics_are_opt_in_and_engine_tagged() {
     for (engine, name) in [
         (Engine::Naive, "naive"),
         (Engine::Indexed, "indexed"),
-        (Engine::Parallel, "parallel"),
+        (Engine::Incremental, "incremental"),
     ] {
         let opts = ValidationOptions::builder()
             .engine(engine)
@@ -162,13 +162,6 @@ fn metrics_are_opt_in_and_engine_tagged() {
         assert!(m.nodes_scanned >= 1, "{engine:?}");
         let attributed: usize = m.families.iter().map(|f| f.violations).sum();
         assert_eq!(attributed, r.len(), "{engine:?}: {m}");
-        if engine == Engine::Parallel {
-            assert!(!m.shard_elements.is_empty());
-            assert!(m.shard_skew().is_some());
-        } else {
-            assert!(m.shard_elements.is_empty());
-            assert!(m.shard_skew().is_none());
-        }
         // The JSON rendering carries the metrics block.
         assert!(r.to_json().contains("\"metrics\""));
     }

@@ -28,8 +28,7 @@
 //! Violations anchored in `D ∪ L` (or at removed elements) are dropped,
 //! and the shared rule kernels (the crate-private `rules` module) are
 //! re-run over a dirty `Scope`: element scans walk `D` and `L`,
-//! group-keyed kernels run over an interned
-//! [`PartialCols`](crate::rules::partial::PartialCols) view of the
+//! group-keyed kernels run over an interned `PartialCols` view of the
 //! region whose scope owns exactly the nodes of `D` (groups keyed by a
 //! node of `D` are complete in the partial view, because *all* of that
 //! node's incident edges are in `L`). DS7 is maintained as a persistent

@@ -57,8 +57,10 @@ pub(crate) fn run_named(
     // graph-side string before the SymSchema sizes its per-symbol rows.
     let start = Instant::now();
     let mut cols = ColumnarGraph::freeze(g);
+    rec.freeze(start.elapsed().as_nanos() as u64);
+    let start = Instant::now();
     let ss = SymSchema::build(s, cols.symbols_mut());
-    rec.index_build(start.elapsed().as_nanos() as u64);
+    rec.compile(start.elapsed().as_nanos() as u64);
 
     let scope = Scope::full(g, s, &ss, &cols);
     let mut sink = Sink::new(&mut r, options.collect_metrics);

@@ -45,9 +45,15 @@ impl MetricsRecorder {
         }
     }
 
-    pub(crate) fn index_build(&mut self, nanos: u64) {
+    pub(crate) fn freeze(&mut self, nanos: u64) {
         if let Some(m) = &mut self.metrics {
-            m.index_build_nanos = nanos;
+            m.freeze_nanos = nanos;
+        }
+    }
+
+    pub(crate) fn compile(&mut self, nanos: u64) {
+        if let Some(m) = &mut self.metrics {
+            m.compile_nanos = nanos;
         }
     }
 

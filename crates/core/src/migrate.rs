@@ -20,7 +20,7 @@
 //!   affected label set is closed under key sites: if any affected
 //!   label sits below a key's site, every label below that site joins
 //!   the region (to a fixpoint, since joining can reach further keys).
-//!   This is what makes running DS7 [`Ds7Plan::Inline`] over the dirty
+//!   This is what makes running DS7 `Ds7Plan::Inline` over the dirty
 //!   scope sound — every key group that intersects the region is
 //!   entirely inside it.
 //!

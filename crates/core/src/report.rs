@@ -412,11 +412,12 @@ pub struct ValidationMetrics {
     pub nodes_scanned: u64,
     /// Live edges visited, summed over all rule blocks.
     pub edges_scanned: u64,
-    /// Nanoseconds spent in [`pgraph::ColumnarGraph::freeze`] plus the
-    /// `SymSchema` compile onto its symbol table (0 for the naive
-    /// engine, which runs index-free). The key keeps its historical
-    /// name.
-    pub index_build_nanos: u64,
+    /// Nanoseconds spent in [`pgraph::ColumnarGraph::freeze`] (0 for the
+    /// naive engine, which runs index-free).
+    pub freeze_nanos: u64,
+    /// Nanoseconds spent compiling the schema onto the frozen graph's
+    /// symbol table (0 for the naive engine).
+    pub compile_nanos: u64,
     /// Per-rule timing, element and violation counters, in the order
     /// the kernels ran. Empty for the naive engine, which runs the
     /// paper's formulas as family blocks rather than per-rule kernels.
@@ -437,9 +438,10 @@ pub struct ValidationMetrics {
 }
 
 impl ValidationMetrics {
-    /// Total wall time over all recorded family blocks plus index build.
+    /// Total wall time over all recorded family blocks plus freeze and
+    /// compile.
     pub fn total_nanos(&self) -> u64 {
-        self.index_build_nanos + self.families.iter().map(|f| f.nanos).sum::<u64>()
+        self.freeze_nanos + self.compile_nanos + self.families.iter().map(|f| f.nanos).sum::<u64>()
     }
 }
 
@@ -451,12 +453,11 @@ impl fmt::Display for ValidationMetrics {
             "scanned: {} node visits, {} edge visits",
             self.nodes_scanned, self.edges_scanned
         )?;
-        if self.index_build_nanos > 0 {
-            writeln!(
-                f,
-                "index build: {:.3} ms",
-                self.index_build_nanos as f64 / 1e6
-            )?;
+        if self.freeze_nanos > 0 {
+            writeln!(f, "freeze: {:.3} ms", self.freeze_nanos as f64 / 1e6)?;
+        }
+        if self.compile_nanos > 0 {
+            writeln!(f, "compile: {:.3} ms", self.compile_nanos as f64 / 1e6)?;
         }
         for rule in &self.rules {
             writeln!(
@@ -670,8 +671,8 @@ impl ValidationReport {
             out.push_str(&format!(
                 ", \"metrics\": {{\"engine\": \"{}\", \
                  \"nodes_scanned\": {}, \"edges_scanned\": {}, \
-                 \"index_build_nanos\": {}, \"rules\": [",
-                m.engine, m.nodes_scanned, m.edges_scanned, m.index_build_nanos
+                 \"freeze_nanos\": {}, \"compile_nanos\": {}, \"rules\": [",
+                m.engine, m.nodes_scanned, m.edges_scanned, m.freeze_nanos, m.compile_nanos
             ));
             for (i, rm) in m.rules.iter().enumerate() {
                 if i > 0 {
@@ -854,7 +855,8 @@ mod tests {
             engine: "indexed",
             nodes_scanned: 100,
             edges_scanned: 50,
-            index_build_nanos: 1_000,
+            freeze_nanos: 1_000,
+            compile_nanos: 2_000,
             rules: vec![RuleMetrics {
                 rule: Rule::WS1,
                 nanos: 2_000,
@@ -873,6 +875,10 @@ mod tests {
         assert!(json.contains("\"metrics\""), "{json}");
         assert!(json.contains("\"engine\": \"indexed\""), "{json}");
         assert!(
+            json.contains("\"freeze_nanos\": 1000, \"compile_nanos\": 2000, \"rules\""),
+            "{json}"
+        );
+        assert!(
             json.contains(
                 "\"rules\": [{\"rule\": \"WS1\", \"nanos\": 2000, \
                  \"elements_scanned\": 100, \"violations\": 3}]"
@@ -881,9 +887,13 @@ mod tests {
         );
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let m = r.metrics().unwrap();
-        assert_eq!(m.total_nanos(), 3_000);
+        assert_eq!(m.total_nanos(), 5_000);
         let text = m.to_string();
         assert!(text.starts_with("engine: indexed\n"), "{text}");
+        assert!(
+            text.contains("\nfreeze: 0.001 ms\ncompile: 0.002 ms\n"),
+            "{text}"
+        );
         assert!(text.contains("WS1:"), "{text}");
         assert!(text.contains("re-checked: 150 of 150 elements"), "{text}");
     }

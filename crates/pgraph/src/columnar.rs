@@ -11,7 +11,11 @@
 //!
 //! * labels and property keys become [`Sym`]s in one [`SymbolTable`];
 //! * property values are deduplicated into a [`ValueTable`] and referred
-//!   to by `u32` value ids;
+//!   to by `u32` value ids. Each value costs one keyed hash of its
+//!   bit-exact form and one stored copy: a digest map plus a collision
+//!   chain find its id, and only float-carrying values (the only ones
+//!   whose `Value` equality is coarser than bit equality) enter a
+//!   separate equality-class map;
 //! * per-element property lists are flattened into `(start, keys, vals)`
 //!   prefix-sum columns, sorted by key symbol so lookup is a binary
 //!   search over a handful of `u32`s;
@@ -30,11 +34,13 @@
 //! The columns (not the derived CSR) are also the on-disk snapshot
 //! layout — see [`crate::snapshot`].
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use crate::graph::{EdgeData, NodeData, PropMap};
 use crate::symbols::{Sym, SymbolTable};
-use crate::{binary, EdgeId, NodeId, PropertyGraph, Value};
+use crate::{EdgeId, NodeId, PropertyGraph, Value};
 
 /// Interned property values, deduplicated two ways.
 ///
@@ -45,29 +51,72 @@ use crate::{binary, EdgeId, NodeId, PropertyGraph, Value};
 /// 0.0`): [`ValueTable::eq_rep`] maps each value id to the id of the first
 /// value in its equivalence class, so kernels that ask "do these two
 /// properties agree?" (DS7) compare two `u32`s.
+///
+/// Each value is hashed once, straight from the [`Value`], into a 64-bit
+/// digest of its bit-exact form, keyed by the table's own [`RandomState`]
+/// so that crafted input cannot force collisions. A map from digest to the
+/// newest id with that digest, plus a `next` chain through older ids with
+/// the same digest, finds a value's id; candidates are confirmed by a
+/// bit-exact comparison against the one stored copy in `exact`. Only
+/// values that contain a float can be `Value`-equal without being
+/// bit-equal, so only those enter the `Value`-keyed class map; every other
+/// value is its own class representative.
 #[derive(Debug, Clone, Default)]
 pub struct ValueTable {
     exact: Vec<Value>,
     eq_rep: Vec<u32>,
-    by_bytes: HashMap<Vec<u8>, u32>,
-    by_eq: HashMap<Value, u32>,
-    scratch: Vec<u8>,
+    heads: HashMap<u64, u32, BuildHasherDefault<DigestHasher>>,
+    next: Vec<u32>,
+    float_classes: HashMap<Value, u32>,
+    keys: DigestKeys,
+}
+
+/// The keys of a table's value digest. Test builds substitute a state
+/// whose digest can be pinned, to drive the collision chain.
+#[cfg(not(test))]
+type DigestKeys = RandomState;
+#[cfg(test)]
+type DigestKeys = tests::PinnableKeys;
+
+/// End of a collision chain.
+const NO_NEXT: u32 = u32::MAX;
+
+/// Passes a digest through as its own hash: the keys of
+/// `ValueTable::heads` are already keyed SipHash outputs.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("digests are hashed with write_u64")
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl ValueTable {
+    fn with_capacity(n: usize) -> ValueTable {
+        let mut t = ValueTable::default();
+        t.exact.reserve(n);
+        t.eq_rep.reserve(n);
+        t.next.reserve(n);
+        t.heads.reserve(n);
+        t
+    }
+
     /// Interns a value, returning its (bit-exact) value id.
     pub fn intern(&mut self, v: &Value) -> u32 {
-        self.scratch.clear();
-        binary::encode_value(&mut self.scratch, v);
-        if let Some(&id) = self.by_bytes.get(self.scratch.as_slice()) {
-            return id;
+        let digest = self.digest(v);
+        match self.find(digest, v) {
+            Some(id) => id,
+            None => self.push(digest, v.clone(), None),
         }
-        let id = self.exact.len() as u32;
-        self.by_bytes.insert(self.scratch.clone(), id);
-        let rep = *self.by_eq.entry(v.clone()).or_insert(id);
-        self.exact.push(v.clone());
-        self.eq_rep.push(rep);
-        id
     }
 
     /// The exact stored value behind an id.
@@ -95,20 +144,116 @@ impl ValueTable {
         &self.exact
     }
 
-    /// Rebuilds a table from decoded values (snapshot thaw): re-derives
-    /// the equality classes, keyed by the values themselves.
+    /// Rebuilds a table from decoded values (snapshot thaw). Every value
+    /// keeps its position as its id, even a bit-exact repeat (which a
+    /// well-formed snapshot never holds); a repeat joins its twin's class.
     pub(crate) fn from_values(values: Vec<Value>) -> ValueTable {
-        let mut t = ValueTable::default();
-        for v in &values {
-            t.scratch.clear();
-            binary::encode_value(&mut t.scratch, v);
-            let id = t.exact.len() as u32;
-            t.by_bytes.insert(t.scratch.clone(), id);
-            let rep = *t.by_eq.entry(v.clone()).or_insert(id);
-            t.eq_rep.push(rep);
-            t.exact.push(v.clone());
-        }
+        let mut t = ValueTable::with_capacity(values.len());
+        t.push_all(values);
         t
+    }
+
+    fn push_all(&mut self, values: Vec<Value>) {
+        for v in values {
+            let digest = self.digest(&v);
+            let twin = self.find(digest, &v);
+            self.push(digest, v, twin);
+        }
+    }
+
+    fn digest(&self, v: &Value) -> u64 {
+        let mut h = self.keys.build_hasher();
+        hash_exact(v, &mut h);
+        h.finish()
+    }
+
+    /// The newest id whose value is bit-equal to `v`.
+    fn find(&self, digest: u64, v: &Value) -> Option<u32> {
+        let mut id = *self.heads.get(&digest)?;
+        while id != NO_NEXT {
+            if same_bits(&self.exact[id as usize], v) {
+                return Some(id);
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// Stores `v` under the next id; `twin` is a bit-equal id already
+    /// stored, if any.
+    fn push(&mut self, digest: u64, v: Value, twin: Option<u32>) -> u32 {
+        let id = self.exact.len() as u32;
+        let rep = match twin {
+            Some(twin) => self.eq_rep[twin as usize],
+            None if has_float(&v) => *self.float_classes.entry(v.clone()).or_insert(id),
+            None => id,
+        };
+        let older = self.heads.insert(digest, id).unwrap_or(NO_NEXT);
+        self.next.push(older);
+        self.eq_rep.push(rep);
+        self.exact.push(v);
+        id
+    }
+}
+
+/// Feeds the bit-exact form of `v` to `h`: the tags of the binary
+/// encoding, raw float bits, string bytes, list lengths and items.
+fn hash_exact(v: &Value, h: &mut impl Hasher) {
+    match v {
+        Value::Int(i) => {
+            h.write_u8(0);
+            h.write_i64(*i);
+        }
+        Value::Float(x) => {
+            h.write_u8(1);
+            h.write_u64(x.to_bits());
+        }
+        Value::String(s) => {
+            h.write_u8(2);
+            s.hash(h);
+        }
+        Value::Bool(b) => {
+            h.write_u8(3);
+            h.write_u8(*b as u8);
+        }
+        Value::Id(s) => {
+            h.write_u8(4);
+            s.hash(h);
+        }
+        Value::Enum(s) => {
+            h.write_u8(5);
+            s.hash(h);
+        }
+        Value::List(items) => {
+            h.write_u8(6);
+            h.write_usize(items.len());
+            for item in items {
+                hash_exact(item, h);
+            }
+        }
+        Value::Null => h.write_u8(7),
+    }
+}
+
+/// Bit-exact equality: `Value` equality except that floats compare raw
+/// bits (so `0.0 != -0.0` and NaN payloads differ).
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::List(xs), Value::List(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// Whether `v` is or contains a float — the only values whose `Value`
+/// equality is coarser than bit equality.
+fn has_float(v: &Value) -> bool {
+    match v {
+        Value::Float(_) => true,
+        Value::List(items) => items.iter().any(has_float),
+        _ => false,
     }
 }
 
@@ -155,15 +300,18 @@ impl ColumnarGraph {
     /// first, then property keys in name order — then edge slots), so the
     /// same graph always freezes to the same bytes.
     pub fn freeze(g: &PropertyGraph) -> ColumnarGraph {
+        let node_props: usize = g.nodes.iter().map(|d| d.props.len()).sum();
+        let edge_props: usize = g.edges.iter().map(|d| d.props.len()).sum();
         let mut symbols = SymbolTable::new();
-        let mut values = ValueTable::default();
+        // Sized for all-distinct values, the common case for keyed data.
+        let mut values = ValueTable::with_capacity(node_props + edge_props);
 
         let n = g.node_index_bound();
         let mut node_alive = Vec::with_capacity(n);
         let mut node_label = Vec::with_capacity(n);
         let mut node_prop_start = Vec::with_capacity(n + 1);
-        let mut node_prop_keys = Vec::new();
-        let mut node_prop_vals = Vec::new();
+        let mut node_prop_keys = Vec::with_capacity(node_props);
+        let mut node_prop_vals = Vec::with_capacity(node_props);
         node_prop_start.push(0);
         for data in &g.nodes {
             node_alive.push(data.alive);
@@ -184,8 +332,8 @@ impl ColumnarGraph {
         let mut edge_src = Vec::with_capacity(m);
         let mut edge_dst = Vec::with_capacity(m);
         let mut edge_prop_start = Vec::with_capacity(m + 1);
-        let mut edge_prop_keys = Vec::new();
-        let mut edge_prop_vals = Vec::new();
+        let mut edge_prop_keys = Vec::with_capacity(edge_props);
+        let mut edge_prop_vals = Vec::with_capacity(edge_props);
         edge_prop_start.push(0);
         for data in &g.edges {
             edge_alive.push(data.alive);
@@ -543,17 +691,16 @@ fn push_props(
         keys.push(symbols.intern(name));
         vals.push(values.intern(value));
     }
-    // Few properties per element: insertion sort via sort_unstable is fine.
-    let slice_start = start;
-    let mut pairs: Vec<(Sym, u32)> = keys[slice_start..]
-        .iter()
-        .copied()
-        .zip(vals[slice_start..].iter().copied())
-        .collect();
-    pairs.sort_unstable_by_key(|&(k, _)| k);
-    for (i, (k, v)) in pairs.into_iter().enumerate() {
-        keys[slice_start + i] = k;
-        vals[slice_start + i] = v;
+    // Few properties per element: insertion-sort the two parallel slices
+    // in place. Keys are distinct, so the order is fully determined.
+    let (keys, vals) = (&mut keys[start..], &mut vals[start..]);
+    for i in 1..keys.len() {
+        let mut j = i;
+        while j > 0 && keys[j - 1] > keys[j] {
+            keys.swap(j - 1, j);
+            vals.swap(j - 1, j);
+            j -= 1;
+        }
     }
 }
 
@@ -588,6 +735,41 @@ fn label_run<'a>(row: &'a [u32], edge_label: &[Sym], label: Sym) -> &'a [u32] {
 mod tests {
     use super::*;
     use crate::GraphBuilder;
+    use std::collections::hash_map::DefaultHasher;
+
+    /// [`RandomState`] with an optional pinned digest: every value hashes
+    /// to the pin, so every lookup walks one collision chain.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct PinnableKeys {
+        keys: RandomState,
+        pinned: Option<u64>,
+    }
+
+    pub(super) struct PinnableHasher {
+        inner: DefaultHasher,
+        pinned: Option<u64>,
+    }
+
+    impl BuildHasher for PinnableKeys {
+        type Hasher = PinnableHasher;
+
+        fn build_hasher(&self) -> PinnableHasher {
+            PinnableHasher {
+                inner: self.keys.build_hasher(),
+                pinned: self.pinned,
+            }
+        }
+    }
+
+    impl Hasher for PinnableHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            self.inner.write(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            self.pinned.unwrap_or_else(|| self.inner.finish())
+        }
+    }
 
     fn sample() -> PropertyGraph {
         let mut g = GraphBuilder::new()
@@ -681,6 +863,58 @@ mod tests {
         assert_eq!(t.intern(&Value::Float(0.0)), zero);
         let i = t.intern(&Value::Int(0));
         assert_ne!(t.eq_rep(i), t.eq_rep(zero));
+    }
+
+    #[test]
+    fn colliding_digests_are_settled_by_exact_comparison() {
+        let mut t = ValueTable {
+            keys: PinnableKeys {
+                pinned: Some(42),
+                ..PinnableKeys::default()
+            },
+            ..ValueTable::default()
+        };
+        let values = [
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0002)),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::from("x"),
+            Value::Id("x".into()),
+            Value::Enum("x".into()),
+            Value::List(vec![Value::Float(-0.0)]),
+            Value::List(vec![Value::Float(0.0)]),
+        ];
+        let ids: Vec<u32> = values.iter().map(|v| t.intern(v)).collect();
+        // One chain holds them all, yet every value gets its own id ...
+        assert_eq!(ids, (0..values.len() as u32).collect::<Vec<_>>());
+        assert_eq!(t.heads.len(), 1);
+        // ... and finds it again from anywhere in the chain.
+        for (v, &id) in values.iter().zip(&ids) {
+            assert_eq!(t.intern(v), id);
+        }
+        assert_eq!(t.len(), values.len());
+        // Float classes are unaffected by the shared digest.
+        let reps: Vec<u32> = ids.iter().map(|&id| t.eq_rep(id)).collect();
+        assert_eq!(reps, [0, 0, 2, 2, 4, 5, 6, 7, 8, 9, 9]);
+
+        // The thaw path agrees, and a repeated value joins its twin's class.
+        let mut stored = t.values().to_vec();
+        stored.push(Value::Float(-0.0));
+        stored.push(Value::from("x"));
+        let mut thawed = ValueTable {
+            keys: t.keys.clone(),
+            ..ValueTable::default()
+        };
+        thawed.push_all(stored);
+        assert_eq!(thawed.heads.len(), 1);
+        let thawed_reps: Vec<u32> = (0..thawed.len() as u32)
+            .map(|id| thawed.eq_rep(id))
+            .collect();
+        assert_eq!(thawed_reps[..reps.len()], reps[..]);
+        assert_eq!(thawed_reps[reps.len()..], [0, 6]);
     }
 
     #[test]

@@ -169,6 +169,7 @@ impl fmt::Display for Json {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -176,6 +177,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -339,16 +341,15 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so byte
-                    // boundaries are valid).
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -962,6 +963,34 @@ mod tests {
         let g = from_json(text).unwrap();
         let n = g.nodes().next().unwrap();
         assert_eq!(n.property("s"), Some(&Value::String("😀ok".into())));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_decodes() {
+        let text = "[\"é\\n❤\\\"😀\\u00e9x\\\\\", \"\", \"ü\\t\"]";
+        assert_eq!(
+            Json::parse(text).unwrap(),
+            Json::Array(vec![
+                Json::Str("é\n❤\"😀éx\\".into()),
+                Json::Str(String::new()),
+                Json::Str("ü\t".into()),
+            ])
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_report_their_end_offset() {
+        // `["abé❤` is 1 + 1 + 2 + 2 + 3 = 9 bytes long.
+        let err = Json::parse("[\"abé❤").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid graph JSON: unterminated string at byte 9"
+        );
+        let err = Json::parse("[\"é\\").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid graph JSON: unterminated escape at byte 5"
+        );
     }
 
     #[test]

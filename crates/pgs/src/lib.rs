@@ -7,8 +7,8 @@
 //! [`lexer`]/[`parser`] for a practical PG-Schema subset, a [`lower`]ing
 //! compiler onto the existing [`pg_schema::PgSchema`] core (so the
 //! engines, metrics, sessions, durability and replication just work),
-//! and a [`print`]er rendering SDL documents back as PG-Schema over the
-//! overlapping fragment.
+//! and a [`print`](mod@print)er rendering SDL documents back as
+//! PG-Schema over the overlapping fragment.
 //!
 //! # The language pragma
 //!

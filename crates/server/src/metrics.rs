@@ -103,7 +103,7 @@ pub struct RenderGauges {
 }
 
 /// A schema-migration API action, counted per kind. The discriminant
-/// indexes [`MIGRATION_ACTIONS`].
+/// indexes `MIGRATION_ACTIONS`.
 #[derive(Debug, Clone, Copy)]
 pub enum MigrationAction {
     /// Impact analysis only (no window opened).

@@ -405,7 +405,7 @@ impl SessionRegistry {
 
     /// Durably logs a migration phase transition for this session, as
     /// [`log_delta`](Self::log_delta) does for deltas. `schema_sdl` is
-    /// the candidate SDL on [`MigrationPhase::Begin`] and empty
+    /// the candidate SDL on [`MigrationPhase::Begin`](pg_store::MigrationPhase::Begin) and empty
     /// otherwise.
     pub fn log_schema_change(
         &self,
